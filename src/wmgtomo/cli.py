@@ -7,7 +7,8 @@ little-endian float64 values. Every output is accompanied by a flat
 key=value manifest; re-running from the same parameters reproduces all
 non-timing outputs bit-for-bit.
 
-Exit codes: 0 success, 2 argument/file errors, 3 numerical failure.
+Exit codes: 0 success, 2 argument/file errors (non-finite input values
+included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -76,10 +77,14 @@ def read_grid(path) -> tuple[np.ndarray, int, int]:
         version, rows, cols = struct.unpack("<III", header[4:])
         if version != FORMAT_VERSION:
             raise CliError(f"{path}: unsupported format version {version}")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != rows * cols:
-        raise CliError(f"{path}: truncated payload")
-    return data.astype(np.float64), rows, cols
+        payload = fh.read()
+    if len(payload) != 8 * rows * cols:
+        raise CliError(f"{path}: payload is {len(payload)} bytes, "
+                       f"expected {8 * rows * cols} for {rows}x{cols}")
+    data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    if not np.isfinite(data).all():
+        raise CliError(f"{path}: payload holds NaN or infinite values")
+    return data, rows, cols
 
 
 def write_pgm(path, values: np.ndarray, rows: int, cols: int):

@@ -9,16 +9,8 @@ Conventions (fixed repo-wide):
   * at angle 0 the rays are vertical (they traverse pixel columns), at
     pi/2 they are horizontal.
 
-Two ray kernels are provided. The default "line" kernel stores the exact
-intersection length of the ray with every pixel it crosses (grid-line
-traversal). The "joseph" kernel traverses the ray along its dominant axis
-and, at each slab crossing, gives the two straddling pixels linear
-interpolation weights scaled by the slab traversal length
-1/max(|cos t|, |sin t|). Both are exact on axis-aligned rays. The line
-kernel is the benchmark default: its normal-equations spectrum is free of
-the near-null aliasing tail the interpolated kernel produces at the image
-center, which otherwise inflates condition numbers by an order of
-magnitude.
+The projector stores the exact intersection length of each ray with every
+pixel it crosses (grid-line traversal).
 """
 
 from __future__ import annotations
@@ -128,61 +120,9 @@ def _line_entries(g: Geometry):
     return rows_acc, cols_acc, vals_acc
 
 
-def _joseph_entries(g: Geometry):
-    """Two-pixel linear interpolation per dominant-axis slab crossing."""
-    n = g.n_pixels_per_side
-    ndet = g.n_detectors
-    offsets = (np.arange(ndet) - (ndet - 1) / 2.0) * g.detector_spacing
-    centers = (np.arange(n) - (n - 1) / 2.0) * g.pixel_size
-
-    rows_acc, cols_acc, vals_acc = [], [], []
-    for a, theta in enumerate(g.angles):
-        c, s = _snapped_trig(theta)
-        if abs(c) >= abs(s):
-            # dominant axis y: step over pixel rows, interpolate along x
-            # x at y = yc:  x = offset/c - yc*s/c
-            frac = offsets[:, None] / c - centers[None, :] * (s / c)
-            cont = frac + (n - 1) / 2.0          # continuous column index
-            slab_idx = np.arange(n - 1, -1, -1)  # row index: y asc = row desc
-            scale = 1.0 / abs(c)
-            along_rows = True
-        else:
-            # dominant axis x: step over pixel columns, interpolate along y
-            # y at x = xc:  y = offset/s - xc*c/s
-            frac = offsets[:, None] / s - centers[None, :] * (c / s)
-            cont = frac + (n - 1) / 2.0          # continuous y index
-            slab_idx = np.arange(n)
-            scale = 1.0 / abs(s)
-            along_rows = False
-
-        i0 = np.floor(cont).astype(np.int64)
-        w1 = cont - i0
-        ray_ids = a * ndet + np.arange(ndet)
-        base = np.broadcast_to(ray_ids[:, None], cont.shape)
-        for idx, w in ((i0, 1.0 - w1), (i0 + 1, w1)):
-            keep = (idx >= 0) & (idx < n) & (w > 0.0)
-            if not keep.any():
-                continue
-            slabs = np.broadcast_to(slab_idx[None, :], cont.shape)[keep]
-            interp = idx[keep]
-            if along_rows:
-                flat = slabs * n + interp
-            else:
-                flat = (n - 1 - interp) * n + slabs
-            rows_acc.append(base[keep])
-            cols_acc.append(flat)
-            vals_acc.append(w[keep] * scale)
-    return rows_acc, cols_acc, vals_acc
-
-
-def build_projector(g: Geometry, kernel: str = "line") -> sp.csr_matrix:
+def build_projector(g: Geometry) -> sp.csr_matrix:
     """Sparse M-by-N projection matrix; rays missing the grid give empty rows."""
-    if kernel == "line":
-        rows_acc, cols_acc, vals_acc = _line_entries(g)
-    elif kernel == "joseph":
-        rows_acc, cols_acc, vals_acc = _joseph_entries(g)
-    else:
-        raise ValueError(f"unknown kernel '{kernel}'")
+    rows_acc, cols_acc, vals_acc = _line_entries(g)
     if rows_acc:
         rows = np.concatenate(rows_acc)
         cols = np.concatenate(cols_acc)

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from .sparse_kernels import (DenseFactorization, DimensionMismatchError,
                              NotPositiveDefiniteError, cholesky_factor, spgemm)
-from .solvers import sirt_scaling
+from .solvers import check_lambda, dense_normal, normal_operator, sirt_scaling
 
 BAND_IDS = ("LL", "LH", "HL", "HH")
 
@@ -53,30 +53,19 @@ def haar_wavelet_1d(n: int) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(half, n))
 
 
-@dataclass(frozen=True)
-class IntergridSet:
-    """The four orthonormal restrictions for one coarsening step of an n-grid."""
-
-    n: int
-    restrictions: dict  # band id -> (n^2/4)-by-n^2 csr matrix
-
-    def __getitem__(self, band: str) -> sp.csr_matrix:
-        return self.restrictions[band]
-
-
-def build_intergrid_set(n: int) -> IntergridSet:
-    """Kronecker products of the 1D Haar operators, one per LL/LH/HL/HH band."""
+def build_intergrid_set(n: int) -> dict:
+    """The four orthonormal (n^2/4)-by-n^2 restrictions of one coarsening
+    step, keyed by band id: Kronecker products of the 1D Haar operators."""
     _check_even(n)
     s = haar_scaling_1d(n)
     j = haar_wavelet_1d(n)
     # kron(row factor, col factor): the first factor acts along y (rows)
-    restrictions = {
+    return {
         "LL": sp.kron(s, s, format="csr"),
         "LH": sp.kron(j, s, format="csr"),  # low x, high y
         "HL": sp.kron(s, j, format="csr"),  # high x, low y
         "HH": sp.kron(j, j, format="csr"),
     }
-    return IntergridSet(n=n, restrictions=restrictions)
 
 
 @dataclass
@@ -93,10 +82,9 @@ class WmgNode:
     path: str
     factor: Optional[sp.csr_matrix]
     lam: float
-    intergrid: Optional[IntergridSet] = None
+    intergrid: Optional[dict] = None
     children: dict = field(default_factory=dict)
     coarse_solve: Optional[DenseFactorization] = None
-    _factor_t: Optional[sp.spmatrix] = None
 
     @property
     def dim(self) -> int:
@@ -107,10 +95,7 @@ class WmgNode:
         return self.coarse_solve is not None
 
     def apply_system(self, v: np.ndarray) -> np.ndarray:
-        out = self._factor_t @ (self.factor @ v)
-        if self.lam != 0:
-            out = out + self.lam * v
-        return out
+        return normal_operator(self.factor, self.lam)(v)
 
 
 @dataclass(frozen=True)
@@ -123,11 +108,8 @@ class WmgHierarchy:
 def _build_node(p: sp.csr_matrix, side: int, level: int, levels: int,
                 lam: float, path: str) -> WmgNode:
     if level == levels:
-        gram = (p.T @ p).toarray()
-        if lam != 0:
-            gram[np.diag_indices_from(gram)] += lam
         try:
-            solve = cholesky_factor(gram)
+            solve = cholesky_factor(dense_normal(p, lam))
         except NotPositiveDefiniteError as exc:
             raise NotPositiveDefiniteError(
                 f"coarsest subproblem '{path or 'root'}' is singular "
@@ -137,9 +119,6 @@ def _build_node(p: sp.csr_matrix, side: int, level: int, levels: int,
                        lam=lam, coarse_solve=solve)
     node = WmgNode(side=side, level=level, path=path, factor=p, lam=lam,
                    intergrid=build_intergrid_set(side))
-    # CSC transpose view shares the CSR arrays; a .tocsr() copy here would
-    # double the memory of every hierarchy level
-    node._factor_t = p.T
     for band in BAND_IDS:
         child_p = spgemm(p, node.intergrid[band].T)
         child_path = f"{path}/{band}" if path else band
@@ -153,8 +132,7 @@ def build_wmg_hierarchy(w: sp.spmatrix, n: int, lam: float,
     """Recursive 4-way splitting of W into tall-and-skinny coarse factors."""
     if levels < 2:
         raise ValueError("levels must be >= 2")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    check_lambda(lam)
     if n % (2 ** (levels - 1)) != 0:
         raise ValueError(
             f"n={n} is not divisible by 2^(levels-1)={2 ** (levels - 1)}")
@@ -225,21 +203,13 @@ def classical_tg_preconditioner(w: sp.spmatrix, n: int, lam: float,
     if w.shape[1] != n * n:
         raise DimensionMismatchError(
             f"projector has {w.shape[1]} columns, expected {n * n}")
-    wt = w.T.tocsr()
+    normal = normal_operator(w, lam)
     scaling = sirt_scaling(w)
     r_ll = build_intergrid_set(n)["LL"]
-    p_coarse = spgemm(w, r_ll.T)
-    coarse = (p_coarse.T @ p_coarse).toarray()
-    if lam != 0:
-        coarse[np.diag_indices_from(coarse)] += lam
-    coarse_solve = cholesky_factor(coarse)
-
-    def apply_a(v):
-        out = wt @ (w @ v)
-        return out + lam * v if lam != 0 else out
+    coarse_solve = cholesky_factor(dense_normal(spgemm(w, r_ll.T), lam))
 
     def smooth(z, v):
-        return z + scaling.c * (v - (wt @ (scaling.r * (w @ z)) + lam * z))
+        return z + scaling.c * (v - (w.T @ (scaling.r * (w @ z)) + lam * z))
 
     def minv(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -249,7 +219,7 @@ def classical_tg_preconditioner(w: sp.spmatrix, n: int, lam: float,
         z = np.zeros_like(v)
         for _ in range(nu1):
             z = smooth(z, v)
-        res = v - apply_a(z) if z.any() else v
+        res = v - normal(z) if z.any() else v
         z = z + r_ll.T @ coarse_solve.solve(r_ll @ res)
         for _ in range(nu2):
             z = smooth(z, v)

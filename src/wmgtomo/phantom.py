@@ -52,8 +52,8 @@ def shepp_logan(n: int) -> np.ndarray:
 
 def add_noise(b: np.ndarray, alpha: float, seed: int) -> np.ndarray:
     """b + alpha * U(-1,1) * max|b|, drawn from a seeded PCG64 generator."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    if not 0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
     b = np.asarray(b, dtype=np.float64)
     if alpha == 0:
         return b.copy()

@@ -18,6 +18,8 @@ from .phantom import error_metrics
 from .sparse_kernels import DimensionMismatchError
 
 BREAKDOWN_REL_TOL = 1e-14
+# largest N for which a dense N-by-N operator may be assembled (328 MB)
+ASSEMBLY_GUARD = 6400
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max-iterations"
@@ -33,8 +35,21 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.residual_tolerance < 0 or self.regularization_lambda < 0:
-            raise ValueError("tolerance and lambda must be nonnegative")
+        if not 0 <= self.residual_tolerance < np.inf:
+            raise ValueError("tolerance must be finite and nonnegative")
+        check_lambda(self.regularization_lambda)
+
+
+def check_lambda(lam: float):
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
+
+
+def check_dense_dim(dim: int):
+    """Refuse a dense dim-by-dim assembly before anything is allocated."""
+    if dim > ASSEMBLY_GUARD:
+        raise ValueError(f"dense {dim}x{dim} operator exceeds the assembly "
+                         f"guard N <= {ASSEMBLY_GUARD}")
 
 
 @dataclass
@@ -138,10 +153,13 @@ def sirt_solve(w: sp.spmatrix, b: np.ndarray, x0: np.ndarray,
 
 
 def normal_operator(w: sp.spmatrix, lam: float) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> W^T (W v) + lambda v, computed without materializing W^T W."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    wt = w.T.tocsr()
+    """v -> W^T (W v) + lambda v, computed without materializing W^T W.
+
+    W^T is the CSC view of W's arrays: no copy, and it sums each output
+    entry in the same order as a CSR copy of W^T would.
+    """
+    check_lambda(lam)
+    wt = w.T
 
     def op(v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -154,6 +172,16 @@ def normal_operator(w: sp.spmatrix, lam: float) -> Callable[[np.ndarray], np.nda
         return out
 
     return op
+
+
+def dense_normal(p: sp.spmatrix, lam: float) -> np.ndarray:
+    """The same operator assembled densely: P^T P + lambda I."""
+    check_lambda(lam)
+    check_dense_dim(p.shape[1])
+    a = (p.T @ p).toarray()
+    if lam != 0:
+        a[np.diag_indices_from(a)] += lam
+    return a
 
 
 def bicgstab_solve(op: Callable[[np.ndarray], np.ndarray], f: np.ndarray,

@@ -1,23 +1,21 @@
 """Dense assembly of small iteration/preconditioned operators and their spectra.
 
 These diagnostics are inherently small-scale: they assemble N-by-N dense
-matrices (guarded at N <= 6400 unless forced) and invert the normal
-operator by dense factorization.
+matrices (refused above N = ASSEMBLY_GUARD = 6400, before allocation) and
+invert the normal operator by dense factorization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
 from .multilevel import BAND_IDS, build_intergrid_set
-from .solvers import sirt_scaling
-
-ASSEMBLY_GUARD = 6400
+from .solvers import check_dense_dim, dense_normal, sirt_scaling
 
 
 @dataclass(frozen=True)
@@ -42,30 +40,8 @@ def _sorted_by_magnitude(vals, vecs=None):
     return vals, vecs
 
 
-def assemble_dense(op: Callable[[np.ndarray], np.ndarray], dim: int,
-                   force: bool = False) -> np.ndarray:
-    """Column j is op applied to the j-th standard basis vector."""
-    if dim > ASSEMBLY_GUARD and not force:
-        raise ValueError(
-            f"assemble_dense: dim={dim} exceeds guard {ASSEMBLY_GUARD}; "
-            "pass force=True to override")
-    out = np.empty((dim, dim))
-    e = np.zeros(dim)
-    for j in range(dim):
-        e[j] = 1.0
-        out[:, j] = op(e)
-        e[j] = 0.0
-    return out
-
-
-def _dense_normal(w: sp.spmatrix, lam: float) -> np.ndarray:
-    a = (w.T @ w).toarray()
-    if lam != 0:
-        a[np.diag_indices_from(a)] += lam
-    return a
-
-
 def _dense_sirt_iteration_matrix(w: sp.spmatrix, lam: float = 0.0) -> np.ndarray:
+    check_dense_dim(w.shape[1])
     scaling = sirt_scaling(w)
     m = (w.T @ sp.diags(scaling.r) @ w).toarray()
     if lam != 0:
@@ -98,7 +74,7 @@ def _dense_band_correction(a: np.ndarray, r_band: np.ndarray) -> np.ndarray:
 def dense_tg_operator(w: sp.spmatrix, n: int, lam: float = 0.0,
                       smoother_steps: tuple[int, int] = (1, 1)) -> np.ndarray:
     """Error-propagation matrix of classical TG with SIRT smoothing."""
-    a = _dense_normal(w, lam)
+    a = dense_normal(w, lam)
     s = _dense_sirt_iteration_matrix(w, lam)
     r_ll = build_intergrid_set(n)["LL"].toarray()
     tg = _dense_band_correction(a, r_ll)
@@ -114,7 +90,7 @@ def dense_wtg_operator(w: sp.spmatrix, n: int, lam: float = 0.0,
     LL applied first. Hybrid form: LL first, then the three oscillatory-band
     corrections applied additively to the refreshed residual.
     """
-    a = _dense_normal(w, lam)
+    a = dense_normal(w, lam)
     grids = build_intergrid_set(n)
     dense_r = {band: grids[band].toarray() for band in BAND_IDS}
     ll = _dense_band_correction(a, dense_r["LL"])
@@ -142,7 +118,7 @@ def preconditioned_spectrum(w: sp.spmatrix, n: int, lam: float,
     return the spectrum of I - A G A^{-1} with G the corresponding dense
     error-propagation matrix.
     """
-    a = _dense_normal(w, lam)
+    a = dense_normal(w, lam)
     if precond_kind == "none":
         vals = scipy.linalg.eigvalsh(a)
         vals, _ = _sorted_by_magnitude(vals.astype(np.complex128))
@@ -164,14 +140,3 @@ def preconditioned_spectrum(w: sp.spmatrix, n: int, lam: float,
     spec = Spectrum(eigenvalues=vals, label=label)
     return Spectrum(eigenvalues=vals, label=label, condition_number=spec.kappa())
 
-
-def coarse_spectrum(w: sp.spmatrix, n: int, band: str) -> Spectrum:
-    """Spectrum of the dense Galerkin operator R_id W^T W R_id^T."""
-    if band not in BAND_IDS:
-        raise ValueError(f"unknown band '{band}'")
-    r_band = build_intergrid_set(n)[band]
-    p = w @ r_band.T
-    coarse = (p.T @ p).toarray()
-    vals = scipy.linalg.eigvalsh(coarse)
-    vals, _ = _sorted_by_magnitude(vals.astype(np.complex128))
-    return Spectrum(eigenvalues=vals, label="coarse-A")

@@ -3,9 +3,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wmgtomo.cli import (EXIT_ARG_ERROR, EXIT_NUMERICAL_ERROR, FORMAT_VERSION,
-                         MAGIC, main, read_grid, write_grid, write_pgm)
+                         MAGIC, CliError, main, read_grid, write_grid,
+                         write_pgm)
 from wmgtomo.phantom import shepp_logan
 
 
@@ -56,6 +58,41 @@ class TestGridFormat:
         raw = path.read_bytes()
         assert raw.startswith(b"P5\n2 2\n255\n")
         assert raw[-4:] == bytes([0, 85, 170, 255])
+
+
+@st.composite
+def grid_files(draw):
+    """Header fields and payload bytes, mostly near a valid grid file."""
+    magic = draw(st.sampled_from([MAGIC, b"WMGX"]))
+    version = draw(st.sampled_from([FORMAT_VERSION, 0, 2]))
+    rows = draw(st.integers(0, 5))
+    cols = draw(st.integers(0, 5))
+    values = draw(st.lists(st.floats(width=64), min_size=rows * cols,
+                           max_size=rows * cols))
+    payload = struct.pack(f"<{len(values)}d", *values)
+    # cut or extend the payload, also by counts that are not multiples of 8
+    extra = draw(st.integers(-9, 9))
+    payload = payload[:len(payload) + extra] if extra < 0 else \
+        payload + draw(st.binary(min_size=extra, max_size=extra))
+    raw = magic + struct.pack("<III", version, rows, cols) + payload
+    # a truncated header
+    cut = draw(st.sampled_from([None, 0, 3, 15]))
+    return raw if cut is None else raw[:cut]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(raw=grid_files())
+def test_read_grid_returns_finite_values_or_raises_cli_error(
+        tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("grid") / "g.bin"
+    path.write_bytes(raw)
+    try:
+        data, rows, cols = read_grid(path)
+    except CliError:
+        return
+    assert data.dtype == np.float64
+    assert data.shape == (rows * cols,)
+    assert np.isfinite(data).all()
 
 
 class TestPhantomCommand:
@@ -112,6 +149,14 @@ class TestProjectCommand:
             run("project", "--image", ph, "--angles", 8, "--detectors", 16,
                 "--noise", 0.01, "--seed", 5, "--out", s)
         assert s1.read_bytes() == s2.read_bytes()
+
+    def test_non_finite_noise_rejected(self, tmp_path):
+        ph, sino = tmp_path / "ph.bin", tmp_path / "s.bin"
+        run("phantom", "--n", 8, "--out", ph)
+        code = run("project", "--image", ph, "--angles", 4, "--detectors", 8,
+                   "--noise", "nan", "--seed", 5, "--out", sino)
+        assert code == EXIT_ARG_ERROR
+        assert not sino.exists()
 
     def test_missing_file_is_arg_error(self, tmp_path):
         code = run("project", "--image", tmp_path / "nope.bin",
@@ -179,6 +224,28 @@ class TestReconstructCommand:
                    "--out", tmp / "x", "--log", tmp / "l")
         assert code == EXIT_ARG_ERROR
 
+    def test_nan_sinogram_rejected_without_output(self, small_problem):
+        _, sino, tmp = small_problem
+        values, rows, cols = read_grid(sino)
+        values[7] = np.nan
+        write_grid(sino, values, rows, cols)
+        out = tmp / "x.bin"
+        code = run("reconstruct", "--sino", sino, "--n", 16, "--angles", 24,
+                   "--detectors", 24, "--solver", "bicgstab", "--iters", 5,
+                   "--out", out, "--log", tmp / "l")
+        assert code == EXIT_ARG_ERROR
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_lambda_rejected(self, small_problem, lam):
+        _, sino, tmp = small_problem
+        out = tmp / "x.bin"
+        code = run("reconstruct", "--sino", sino, "--n", 16, "--angles", 24,
+                   "--detectors", 24, "--solver", "bicgstab", "--iters", 5,
+                   "--lambda", lam, "--out", out, "--log", tmp / "l")
+        assert code == EXIT_ARG_ERROR
+        assert not out.exists()
+
     def test_singular_coarse_problem_is_numerical_error(self, tmp_path):
         # a single axis-aligned angle leaves the oscillatory coarse Gram
         # matrices singular, which must surface as a numerical failure
@@ -212,6 +279,14 @@ class TestSpectrumCommand:
         assert "kappa" in capsys.readouterr().out
         manifest = (tmp_path / "spec.csv.manifest").read_text()
         assert "condition_number=" in manifest
+
+    @pytest.mark.parametrize("operator", ["normal", "sirt-s"])
+    def test_dense_guard(self, tmp_path, operator):
+        # N = 82^2 = 6724 exceeds the 6400 guard; refused before allocating
+        out = tmp_path / "spec.csv"
+        assert run("spectrum", "--n", 82, "--angles", 4, "--operator",
+                   operator, "--out", out) == EXIT_ARG_ERROR
+        assert not out.exists()
 
     def test_eigenmode_export(self, tmp_path):
         out = tmp_path / "spec.csv"

@@ -77,32 +77,6 @@ class TestLineKernel:
         assert np.diff(w.indptr).max() <= 2 * 40 - 1
 
 
-class TestJosephKernel:
-    def test_axis_aligned_matches_line_kernel(self):
-        g = build_geometry(4, 4, 2)
-        wl = build_projector(g, kernel="line")
-        wj = build_projector(g, kernel="joseph")
-        np.testing.assert_allclose(wj.toarray(), wl.toarray(), atol=1e-14)
-
-    def test_two_entries_per_slab(self):
-        # at a generic angle every slab contributes at most two pixels
-        g = Geometry(8, 8, 1, angles=np.array([0.3]))
-        w = build_projector(g, kernel="joseph")
-        central = w.getrow(4).toarray().reshape(8, 8)
-        # angle 0.3 rad is y-dominant: slabs are image rows
-        assert (np.count_nonzero(central, axis=1) <= 2).all()
-
-    def test_diagonal_row_sum_close_to_chord(self):
-        g = build_geometry(8, 11, 4)
-        w = build_projector(g, kernel="joseph")
-        row_sums = np.asarray(w.sum(axis=1)).ravel()
-        assert abs(row_sums[1 * 11 + 5] - 8 * np.sqrt(2)) < 1e-2
-
-    def test_unknown_kernel(self):
-        with pytest.raises(ValueError):
-            build_projector(build_geometry(4, 4, 1), kernel="nearest")
-
-
 class TestApply:
     def test_adjoint_identity(self, w40):
         # <W x, y> == <x, W^T y> to near machine precision

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wmgtomo.multilevel import (BAND_IDS, IntergridSet, WmgHierarchy,
+from wmgtomo.multilevel import (BAND_IDS, WmgHierarchy,
                                 build_intergrid_set, build_wmg_hierarchy,
                                 classical_tg_preconditioner, haar_scaling_1d,
                                 haar_wavelet_1d, wmg_preconditioner,
@@ -94,12 +94,24 @@ class TestHierarchy:
             assert np.abs(via_fine - via_gram).max() <= 1e-10 * max(
                 1.0, np.abs(via_fine).max())
 
+    @pytest.mark.parametrize("lam", [0.0, 2.5])
+    def test_apply_system_is_the_normal_operator(self, w16, lam):
+        _, w = w16
+        h = build_wmg_hierarchy(w, 16, lam, 3)
+        rng = np.random.default_rng(5)
+        for node in (h.root, h.root.children["HL"]):
+            v = rng.standard_normal(node.dim)
+            assert np.array_equal(node.apply_system(v),
+                                  normal_operator(node.factor, lam)(v))
+
     def test_validation(self, w16):
         _, w = w16
         with pytest.raises(ValueError):
             build_wmg_hierarchy(w, 16, 0.0, 1)
         with pytest.raises(ValueError):
             build_wmg_hierarchy(w, 16, -1.0, 2)
+        with pytest.raises(ValueError):
+            build_wmg_hierarchy(w, 16, np.nan, 2)
         with pytest.raises(ValueError):
             build_wmg_hierarchy(w, 16, 0.0, 6)  # 16 not divisible by 32
 

@@ -10,8 +10,9 @@ from wmgtomo.phantom import add_noise, shepp_logan
 from wmgtomo.sparse_kernels import DimensionMismatchError
 from wmgtomo.solvers import (ConvergenceRecord, STATUS_BREAKDOWN,
                              STATUS_CONVERGED, STATUS_MAX_ITERATIONS,
-                             SolverConfig, bicgstab_solve, find_kopt,
-                             normal_operator, sirt_scaling, sirt_solve)
+                             SolverConfig, bicgstab_solve, dense_normal,
+                             find_kopt, normal_operator, sirt_scaling,
+                             sirt_solve)
 
 
 class TestConfigAndRecord:
@@ -22,6 +23,11 @@ class TestConfigAndRecord:
             SolverConfig(residual_tolerance=-1.0)
         with pytest.raises(ValueError):
             SolverConfig(regularization_lambda=-1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                SolverConfig(residual_tolerance=bad)
+            with pytest.raises(ValueError):
+                SolverConfig(regularization_lambda=bad)
 
     def test_find_kopt_first_minimum(self):
         rec = ConvergenceRecord()
@@ -98,15 +104,33 @@ class TestNormalOperator:
         v = np.random.default_rng(1).standard_normal(w.shape[1])
         np.testing.assert_allclose(op(v), a @ v, rtol=1e-12, atol=1e-9)
 
+    @pytest.mark.parametrize("instance", ["w16", "w40"])
+    @pytest.mark.parametrize("lam", [0.0, 2.5])
+    def test_equals_transpose_copy_formula(self, request, instance, lam):
+        # the CSC view W^T sums in the same order as a CSR copy of W^T
+        _, w = request.getfixturevalue(instance)
+        v = np.random.default_rng(2).standard_normal(w.shape[1])
+        expected = w.T.tocsr() @ (w @ v) + lam * v
+        assert np.array_equal(normal_operator(w, lam)(v), expected)
+
     def test_rejects_negative_lambda(self, w16):
         _, w = w16
-        with pytest.raises(ValueError):
-            normal_operator(w, -1.0)
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                normal_operator(w, bad)
 
     def test_rejects_wrong_length(self, w16):
         _, w = w16
         with pytest.raises(DimensionMismatchError):
             normal_operator(w, 0.0)(np.ones(5))
+
+
+class TestDenseNormal:
+    @pytest.mark.parametrize("lam", [0.0, 2.5])
+    def test_equals_gram_plus_shift(self, w16, lam):
+        _, w = w16
+        expected = (w.T @ w).toarray() + lam * np.eye(w.shape[1])
+        assert np.array_equal(dense_normal(w, lam), expected)
 
 
 class TestBicgstab:

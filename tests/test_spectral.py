@@ -3,23 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from wmgtomo.solvers import sirt_scaling
-from wmgtomo.spectral import (ASSEMBLY_GUARD, Spectrum, assemble_dense,
-                              coarse_spectrum, dense_tg_operator,
-                              dense_wtg_operator, preconditioned_spectrum,
-                              sirt_spectrum)
-
-
-class TestAssembleDense:
-    def test_reconstructs_matrix(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((6, 6))
-        np.testing.assert_array_equal(assemble_dense(lambda v: a @ v, 6), a)
-
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            assemble_dense(lambda v: v, ASSEMBLY_GUARD + 1)
-        out = assemble_dense(lambda v: 2 * v, 3, force=True)
-        np.testing.assert_array_equal(out, 2 * np.eye(3))
+from wmgtomo.spectral import (Spectrum, dense_tg_operator, dense_wtg_operator,
+                              preconditioned_spectrum, sirt_spectrum)
 
 
 class TestSpectrum:
@@ -98,25 +83,3 @@ class TestDenseOperators:
         g = dense_tg_operator(w, 16, 1.0, smoother_steps=(1, 1))
         assert np.abs(np.linalg.eigvals(g)).max() < 1.0
 
-
-class TestCoarseSpectrum:
-    def test_ll_positive_semidefinite(self, w16):
-        _, w = w16
-        spec = coarse_spectrum(w, 16, "LL")
-        assert spec.eigenvalues.real.min() >= -1e-10
-        assert spec.eigenvalues.size == 64
-
-    def test_ll_smooth_eigenvalue_persistence(self, w40):
-        # the dominant eigenvalue survives LL coarsening to within 2x
-        _, w = w40
-        fine = preconditioned_spectrum(w, 40, 0.0, "none")
-        coarse = coarse_spectrum(w, 40, "LL")
-        top_fine = np.abs(fine.eigenvalues).max()
-        top_coarse = np.abs(coarse.eigenvalues).max()
-        assert top_coarse > top_fine / 2
-        assert top_coarse <= top_fine * 2
-
-    def test_unknown_band(self, w16):
-        _, w = w16
-        with pytest.raises(ValueError):
-            coarse_spectrum(w, 16, "XX")
