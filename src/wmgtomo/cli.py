@@ -28,7 +28,7 @@ from .multilevel import (build_wmg_hierarchy, classical_tg_preconditioner,
                          wmg_preconditioner)
 from .phantom import add_noise, error_metrics, shepp_logan
 from .solvers import (ConvergenceRecord, SolverConfig, bicgstab_solve,
-                      normal_operator, sirt_solve)
+                      check_nonneg, normal_operator, sirt_solve)
 from .spectral import preconditioned_spectrum, sirt_spectrum
 from .sparse_kernels import (DimensionMismatchError, NotPositiveDefiniteError)
 
@@ -185,6 +185,9 @@ def cmd_reconstruct(args) -> int:
             f"{args.angles}x{args.detectors}")
     if args.levels is not None and args.solver != "wmg-bicgstab":
         raise CliError("--levels requires --solver wmg-bicgstab")
+    # SolverConfig's checks, also for --iters 0, which builds no config
+    check_nonneg(args.tol, "--tol")
+    check_nonneg(args.regularization, "--lambda")
     x_ex = None
     if args.xexact:
         x_ex, xr, xc = read_grid(args.xexact)

@@ -31,8 +31,6 @@ class Geometry:
     n_detectors: int
     n_angles: int
     angles: np.ndarray = field(repr=False)
-    pixel_size: float = 1.0
-    detector_spacing: float = 1.0
 
     def __post_init__(self):
         if self.n_pixels_per_side < 1 or self.n_detectors < 1 or self.n_angles < 1:
@@ -78,16 +76,17 @@ def _snapped_trig(theta: float) -> tuple[float, float]:
 
 
 def _line_entries(g: Geometry):
-    """Exact ray/pixel intersection lengths, vectorized over rays per angle."""
+    """Exact ray/pixel intersection lengths, vectorized over rays per angle:
+    per-ray entry counts, then every entry's column and length in row order."""
     n = g.n_pixels_per_side
     ndet = g.n_detectors
-    offsets = (np.arange(ndet) - (ndet - 1) / 2.0) * g.detector_spacing
+    offsets = np.arange(ndet) - (ndet - 1) / 2.0
     # pixel boundaries; the grid spans [-n/2, n/2] in both axes
-    lines = (np.arange(n + 1) - n / 2.0) * g.pixel_size
+    lines = np.arange(n + 1) - n / 2.0
     half = n / 2.0
 
-    rows_acc, cols_acc, vals_acc = [], [], []
-    for a, theta in enumerate(g.angles):
+    counts_acc, cols_acc, vals_acc = [], [], []
+    for theta in g.angles:
         c, s = _snapped_trig(theta)
         dx, dy = -s, c  # ray direction; ray point = offset*(c, s) + t*(dx, dy)
         ox, oy = offsets * c, offsets * s
@@ -109,31 +108,19 @@ def _line_entries(g: Geometry):
         ix = np.floor(xm + half).astype(np.int64)
         iy = np.floor(ym + half).astype(np.int64)
         keep = good & (ix >= 0) & (ix < n) & (iy >= 0) & (iy < n)
-        if not keep.any():
-            continue
-        flat = (n - 1 - iy[keep]) * n + ix[keep]
-        ray_ids = np.broadcast_to((a * ndet + np.arange(ndet))[:, None],
-                                  seg.shape)[keep]
-        rows_acc.append(ray_ids)
-        cols_acc.append(flat)
+        counts_acc.append(keep.sum(axis=1))
+        cols_acc.append((n - 1 - iy[keep]) * n + ix[keep])
         vals_acc.append(seg[keep])
-    return rows_acc, cols_acc, vals_acc
+    return (np.concatenate(counts_acc), np.concatenate(cols_acc),
+            np.concatenate(vals_acc))
 
 
 def build_projector(g: Geometry) -> sp.csr_matrix:
     """Sparse M-by-N projection matrix; rays missing the grid give empty rows."""
-    rows_acc, cols_acc, vals_acc = _line_entries(g)
-    if rows_acc:
-        rows = np.concatenate(rows_acc)
-        cols = np.concatenate(cols_acc)
-        vals = np.concatenate(vals_acc)
-    else:  # pragma: no cover - degenerate empty geometry
-        rows = cols = np.empty(0, dtype=np.int64)
-        vals = np.empty(0)
-    w = sp.coo_matrix((vals, (rows, cols)), shape=(g.n_data, g.n_image))
-    w.sum_duplicates()
-    w = w.tocsr()
-    w.sort_indices()
+    counts, cols, vals = _line_entries(g)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    w = sp.csr_matrix((vals, cols, indptr), shape=(g.n_data, g.n_image))
+    w.sum_duplicates()  # sorts each ray's columns, given in traversal order
     return w
 
 

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from .sparse_kernels import (DenseFactorization, DimensionMismatchError,
                              NotPositiveDefiniteError, cholesky_factor, spgemm)
-from .solvers import check_lambda, dense_normal, normal_operator, sirt_scaling
+from .solvers import check_nonneg, dense_normal, normal_operator, sirt_scaling
 
 BAND_IDS = ("LL", "LH", "HL", "HH")
 
@@ -132,7 +132,7 @@ def build_wmg_hierarchy(w: sp.spmatrix, n: int, lam: float,
     """Recursive 4-way splitting of W into tall-and-skinny coarse factors."""
     if levels < 2:
         raise ValueError("levels must be >= 2")
-    check_lambda(lam)
+    check_nonneg(lam, "lambda")
     if n % (2 ** (levels - 1)) != 0:
         raise ValueError(
             f"n={n} is not divisible by 2^(levels-1)={2 ** (levels - 1)}")

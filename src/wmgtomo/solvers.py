@@ -35,14 +35,13 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not 0 <= self.residual_tolerance < np.inf:
-            raise ValueError("tolerance must be finite and nonnegative")
-        check_lambda(self.regularization_lambda)
+        check_nonneg(self.residual_tolerance, "tolerance")
+        check_nonneg(self.regularization_lambda, "lambda")
 
 
-def check_lambda(lam: float):
-    if not 0 <= lam < np.inf:
-        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
+def check_nonneg(value: float, name: str):
+    if not 0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def check_dense_dim(dim: int):
@@ -123,7 +122,6 @@ def sirt_solve(w: sp.spmatrix, b: np.ndarray, x0: np.ndarray,
     if b.shape[0] != w.shape[0] or x.shape[0] != w.shape[1]:
         raise DimensionMismatchError("sirt_solve: dimension mismatch")
     scaling = sirt_scaling(w)
-    wt = w.T.tocsr()
     lam = cfg.regularization_lambda
 
     record = ConvergenceRecord()
@@ -137,7 +135,7 @@ def sirt_solve(w: sp.spmatrix, b: np.ndarray, x0: np.ndarray,
         return x, record
 
     for k in range(1, cfg.max_iterations + 1):
-        update = scaling.c * (wt @ (scaling.r * res))
+        update = scaling.c * (w.T @ (scaling.r * res))
         if lam > 0:
             update -= lam * (scaling.c * x)
         x += update
@@ -158,7 +156,7 @@ def normal_operator(w: sp.spmatrix, lam: float) -> Callable[[np.ndarray], np.nda
     W^T is the CSC view of W's arrays: no copy, and it sums each output
     entry in the same order as a CSR copy of W^T would.
     """
-    check_lambda(lam)
+    check_nonneg(lam, "lambda")
     wt = w.T
 
     def op(v: np.ndarray) -> np.ndarray:
@@ -176,7 +174,7 @@ def normal_operator(w: sp.spmatrix, lam: float) -> Callable[[np.ndarray], np.nda
 
 def dense_normal(p: sp.spmatrix, lam: float) -> np.ndarray:
     """The same operator assembled densely: P^T P + lambda I."""
-    check_lambda(lam)
+    check_nonneg(lam, "lambda")
     check_dense_dim(p.shape[1])
     a = (p.T @ p).toarray()
     if lam != 0:

@@ -17,6 +17,7 @@ import scipy.sparse as sp
 # Magnitudes below this are treated as exact-zero cancellation (the Haar
 # products cancel +-1/2 entries frequently) and removed from sparse results.
 SPGEMM_DROP_TOL = 1e-15
+CHOLESKY_SYM_TOL = 1e-10  # largest max|G - G^T| / max|G| taken as symmetric
 
 
 class DimensionMismatchError(ValueError):
@@ -50,13 +51,13 @@ class DenseFactorization:
         return cholesky_solve(self, rhs)
 
 
-def cholesky_factor(g: np.ndarray, sym_tol: float = 1e-10) -> DenseFactorization:
+def cholesky_factor(g: np.ndarray) -> DenseFactorization:
     """Factor a dense SPD matrix, raising NotPositiveDefiniteError on failure."""
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionMismatchError(f"cholesky_factor: matrix is not square {g.shape}")
     scale = np.abs(g).max() if g.size else 0.0
-    if scale and np.abs(g - g.T).max() > sym_tol * scale:
+    if scale and np.abs(g - g.T).max() > CHOLESKY_SYM_TOL * scale:
         raise NotPositiveDefiniteError("matrix is not symmetric")
     try:
         lower = scipy.linalg.cholesky(g, lower=True)

@@ -73,7 +73,9 @@ def _dense_band_correction(a: np.ndarray, r_band: np.ndarray) -> np.ndarray:
 
 def dense_tg_operator(w: sp.spmatrix, n: int, lam: float = 0.0,
                       smoother_steps: tuple[int, int] = (1, 1)) -> np.ndarray:
-    """Error-propagation matrix of classical TG with SIRT smoothing."""
+    """Error-propagation matrix of classical TG, taking the SIRT matrix as the
+    smoother's. `classical_tg_preconditioner` matches it only unsmoothed: its
+    smoother relaxes W^T R W + lam I inside a solve of W^T W + lam I."""
     a = dense_normal(w, lam)
     s = _dense_sirt_iteration_matrix(w, lam)
     r_ll = build_intergrid_set(n)["LL"].toarray()
@@ -110,7 +112,6 @@ def dense_wtg_operator(w: sp.spmatrix, n: int, lam: float = 0.0,
 
 def preconditioned_spectrum(w: sp.spmatrix, n: int, lam: float,
                             precond_kind: str,
-                            smoother_steps: tuple[int, int] = (1, 1),
                             hybrid_wtg: bool = False) -> Spectrum:
     """Spectrum (and kappa) of the preconditioned Krylov iteration matrix.
 
@@ -126,7 +127,7 @@ def preconditioned_spectrum(w: sp.spmatrix, n: int, lam: float,
         return Spectrum(eigenvalues=vals, label="normal-A",
                         condition_number=spec.kappa())
     if precond_kind == "tg":
-        g = dense_tg_operator(w, n, lam, smoother_steps)
+        g = dense_tg_operator(w, n, lam)
         label = "tg-preconditioned"
     elif precond_kind == "wtg":
         g = dense_wtg_operator(w, n, lam, hybrid=hybrid_wtg)

@@ -236,13 +236,21 @@ class TestReconstructCommand:
         assert code == EXIT_ARG_ERROR
         assert not out.exists()
 
-    @pytest.mark.parametrize("lam", ["nan", "inf"])
-    def test_non_finite_lambda_rejected(self, small_problem, lam):
+    @pytest.mark.parametrize("option,value,iters", [
+        pytest.param("--lambda", "nan", 5, id="nan"),
+        pytest.param("--lambda", "inf", 5, id="inf"),
+        # --iters 0 runs no solver, so no SolverConfig checks the values
+        pytest.param("--lambda", "nan", 0, id="nan-iters0"),
+        pytest.param("--tol", "nan", 5, id="tol-nan"),
+        pytest.param("--tol", "nan", 0, id="tol-nan-iters0"),
+    ])
+    def test_non_finite_lambda_rejected(self, small_problem, option, value,
+                                        iters):
         _, sino, tmp = small_problem
         out = tmp / "x.bin"
         code = run("reconstruct", "--sino", sino, "--n", 16, "--angles", 24,
-                   "--detectors", 24, "--solver", "bicgstab", "--iters", 5,
-                   "--lambda", lam, "--out", out, "--log", tmp / "l")
+                   "--detectors", 24, "--solver", "bicgstab", "--iters", iters,
+                   option, value, "--out", out, "--log", tmp / "l")
         assert code == EXIT_ARG_ERROR
         assert not out.exists()
 

@@ -1,9 +1,27 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from wmgtomo.geometry import (Geometry, apply, apply_transpose,
-                              build_geometry, build_projector)
+from wmgtomo.geometry import (Geometry, _line_entries, _snapped_trig, apply,
+                              apply_transpose, build_geometry,
+                              build_projector)
 from wmgtomo.sparse_kernels import DimensionMismatchError
+
+
+def chord(x0, y0, dx, dy, half):
+    """Length of the line (x0, y0) + t (dx, dy), |(dx, dy)| = 1, inside the
+    square [-half, half)^2 of the pixel grid, by Liang-Barsky clipping."""
+    t_lo, t_hi = -np.inf, np.inf
+    for o, d in ((x0, dx), (y0, dy)):
+        if d == 0.0:
+            # pixels are half-open, so a line on the far edge misses them
+            if not -half <= o < half:
+                return 0.0
+        else:
+            a, b = sorted(((-half - o) / d, (half - o) / d))
+            t_lo, t_hi = max(t_lo, a), min(t_hi, b)
+    return max(t_hi - t_lo, 0.0)
 
 
 class TestGeometry:
@@ -75,6 +93,55 @@ class TestLineKernel:
         # a ray crosses at most 2n-1 pixels of an n-grid
         _, w = w40
         assert np.diff(w.indptr).max() <= 2 * 40 - 1
+
+
+    @pytest.mark.parametrize("sizes", [(16, 24, 24), (40, 40, 100),
+                                       (15, 15, 7), (8, 7, 8), (33, 64, 4)])
+    def test_csr_equals_coo_assembly_of_the_same_entries(self, sizes):
+        # the reference is the COO route: one row id per entry, global
+        # (row, col) sort, duplicate summation, conversion to CSR
+        g = build_geometry(*sizes)
+        counts, cols, vals = _line_entries(g)
+        rows = np.repeat(np.arange(g.n_data), counts)
+        ref = sp.coo_matrix((vals, (rows, cols)), shape=(g.n_data, g.n_image))
+        ref.sum_duplicates()
+        ref = ref.tocsr()
+        ref.sort_indices()
+        w = build_projector(g)
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(w, name), getattr(ref, name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(1, 12), n_detectors=st.integers(1, 15),
+       n_angles=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_projector_rows_are_chords_and_transpose_is_adjoint(
+        n, n_detectors, n_angles, seed):
+    g = build_geometry(n, n_detectors, n_angles)
+    w = build_projector(g)
+    assert w.shape == (g.n_data, g.n_image)
+    # canonical CSR: columns strictly increasing within every row
+    rows = np.repeat(np.arange(g.n_data), np.diff(w.indptr))
+    same_row = rows[1:] == rows[:-1]
+    assert (np.diff(w.indices)[same_row] > 0).all()
+    assert w.has_canonical_format
+    assert (w.data > 0).all()
+
+    offsets = np.arange(n_detectors) - (n_detectors - 1) / 2.0
+    expected = []
+    for theta in g.angles:
+        c, s = _snapped_trig(theta)
+        expected += [chord(o * c, o * s, -s, c, n / 2.0) for o in offsets]
+    row_sums = np.asarray(w.sum(axis=1)).ravel()
+    np.testing.assert_allclose(row_sums, expected, rtol=1e-12, atol=1e-12)
+
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(g.n_image)
+    y = rng.standard_normal(g.n_data)
+    scale = np.abs(y) @ (abs(w) @ np.abs(x))
+    assert abs(apply(w, x) @ y - x @ apply_transpose(w, y)) <= 1e-13 * scale
 
 
 class TestApply:
