@@ -24,11 +24,11 @@ import numpy as np
 
 from . import __version__
 from .geometry import build_geometry, build_projector
-from .multilevel import (build_wmg_hierarchy, classical_tg_preconditioner,
-                         wmg_preconditioner)
+from .multilevel import build_wmg_hierarchy, wmg_preconditioner
 from .phantom import add_noise, error_metrics, shepp_logan
-from .solvers import (ConvergenceRecord, SolverConfig, bicgstab_solve,
-                      check_nonneg, normal_operator, sirt_solve)
+from .solvers import (STATUS_NON_FINITE, ConvergenceRecord, SolverConfig,
+                      bicgstab_solve, check_nonneg, normal_operator,
+                      sirt_solve)
 from .spectral import preconditioned_spectrum, sirt_spectrum
 from .sparse_kernels import (DimensionMismatchError, NotPositiveDefiniteError)
 
@@ -169,9 +169,7 @@ def _run_solver(solver, w, g, b, cfg, x_ex, levels, multiplicative):
     op = normal_operator(w, lam)
     f = w.T @ b
     precond = None
-    if solver == "tg-bicgstab":
-        precond = classical_tg_preconditioner(w, g.n_pixels_per_side, lam)
-    elif solver == "wmg-bicgstab":
+    if solver == "wmg-bicgstab":
         h = build_wmg_hierarchy(w, g.n_pixels_per_side, lam, levels)
         precond = wmg_preconditioner(h, multiplicative=multiplicative)
     return bicgstab_solve(op, f, precond=precond, cfg=cfg, x_ex=x_ex)
@@ -183,8 +181,12 @@ def cmd_reconstruct(args) -> int:
         raise CliError(
             f"sinogram is {rows}x{cols}, geometry says "
             f"{args.angles}x{args.detectors}")
-    if args.levels is not None and args.solver != "wmg-bicgstab":
-        raise CliError("--levels requires --solver wmg-bicgstab")
+    if args.solver != "wmg-bicgstab":
+        if args.levels is not None:
+            raise CliError("--levels requires --solver wmg-bicgstab")
+        if args.multiplicative_wtg:
+            raise CliError("--multiplicative-wtg requires --solver "
+                           "wmg-bicgstab")
     # SolverConfig's checks, also for --iters 0, which builds no config
     check_nonneg(args.tol, "--tol")
     check_nonneg(args.regularization, "--lambda")
@@ -209,6 +211,11 @@ def cmd_reconstruct(args) -> int:
                            regularization_lambda=args.regularization)
         x, record = _run_solver(args.solver, w, g, b, cfg, x_ex,
                                 args.levels or 3, args.multiplicative_wtg)
+        if record.status == STATUS_NON_FINITE:
+            print(f"numerical failure: {args.solver} stopped after iteration "
+                  f"{record.iterations[-1]} on a NaN or infinite residual "
+                  f"norm or scalar", file=sys.stderr)
+            return EXIT_NUMERICAL_ERROR
 
     write_grid(args.out, x, args.n, args.n)
     write_convergence_csv(args.log, record)
@@ -227,6 +234,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    if args.hybrid_wtg and args.operator != "wtg":
+        raise CliError("--hybrid-wtg requires --operator wtg")
     g = build_geometry(args.n, args.detectors or args.n, args.angles)
     w = build_projector(g)
     modes = None
@@ -255,8 +264,10 @@ def cmd_spectrum(args) -> int:
     manifest.update(n=args.n, angles=args.angles,
                     detectors=args.detectors or args.n,
                     operator=args.operator,
-                    regularization_lambda=args.regularization,
-                    wtg_form="hybrid" if args.hybrid_wtg else "multiplicative")
+                    regularization_lambda=args.regularization)
+    if args.operator == "wtg":
+        manifest["wtg_form"] = ("hybrid" if args.hybrid_wtg
+                                else "multiplicative")
     if spec.condition_number is not None:
         manifest["condition_number"] = repr(spec.condition_number)
         print(f"kappa = {spec.condition_number:.4e}")
@@ -337,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--angles", type=int, required=True)
     p.add_argument("--detectors", type=int, required=True)
     p.add_argument("--solver", required=True,
-                   choices=["sirt", "bicgstab", "tg-bicgstab", "wmg-bicgstab"])
+                   choices=["sirt", "bicgstab", "wmg-bicgstab"])
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("--tol", type=float, default=0.0)
     p.add_argument("--lambda", dest="regularization", type=float, default=0.0)

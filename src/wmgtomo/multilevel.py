@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from .sparse_kernels import (DenseFactorization, DimensionMismatchError,
                              NotPositiveDefiniteError, cholesky_factor, spgemm)
-from .solvers import check_nonneg, dense_normal, normal_operator, sirt_scaling
+from .solvers import check_nonneg, dense_normal, normal_operator
 
 BAND_IDS = ("LL", "LH", "HL", "HH")
 
@@ -182,47 +182,5 @@ def wmg_preconditioner(h: WmgHierarchy, multiplicative: bool = False,
 
     def minv(v: np.ndarray) -> np.ndarray:
         return wtg_apply(h.root, v, multiplicative=multiplicative)
-
-    return minv
-
-
-def classical_tg_preconditioner(w: sp.spmatrix, n: int, lam: float,
-                                smoother_steps: tuple[int, int] = (1, 1),
-                                ) -> Callable[[np.ndarray], np.ndarray]:
-    """One classical two-grid cycle on the normal equations, LL coarsening only.
-
-    Smoothing is the SIRT-scaled relaxation z <- z + C (v - (W^T R W + lam) z),
-    the coarse correction uses the dense Galerkin operator of W^T W + lam*I
-    under the standard (LL) restriction, solved directly.
-    """
-    _check_even(n)
-    nu1, nu2 = smoother_steps
-    if nu1 < 0 or nu2 < 0:
-        raise ValueError("smoothing counts must be nonnegative")
-    w = w.tocsr()
-    if w.shape[1] != n * n:
-        raise DimensionMismatchError(
-            f"projector has {w.shape[1]} columns, expected {n * n}")
-    normal = normal_operator(w, lam)
-    scaling = sirt_scaling(w)
-    r_ll = build_intergrid_set(n)["LL"]
-    coarse_solve = cholesky_factor(dense_normal(spgemm(w, r_ll.T), lam))
-
-    def smooth(z, v):
-        return z + scaling.c * (v - (w.T @ (scaling.r * (w @ z)) + lam * z))
-
-    def minv(v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape[0] != n * n:
-            raise DimensionMismatchError(
-                f"tg preconditioner: length {v.shape[0]} != {n * n}")
-        z = np.zeros_like(v)
-        for _ in range(nu1):
-            z = smooth(z, v)
-        res = v - normal(z) if z.any() else v
-        z = z + r_ll.T @ coarse_solve.solve(r_ll @ res)
-        for _ in range(nu2):
-            z = smooth(z, v)
-        return z
 
     return minv

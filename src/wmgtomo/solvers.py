@@ -24,6 +24,8 @@ ASSEMBLY_GUARD = 6400
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITERATIONS = "max-iterations"
 STATUS_BREAKDOWN = "breakdown"
+# a residual norm or BiCGStab's alpha denominator overflowed or became NaN
+STATUS_NON_FINITE = "non-finite"
 
 
 @dataclass
@@ -130,6 +132,9 @@ def sirt_solve(w: sp.spmatrix, b: np.ndarray, x0: np.ndarray,
     res_norm0 = np.linalg.norm(res)
     err2, errinf = _errors(x, x_ex)
     record.log(0, 1.0, err2, errinf, time.perf_counter() - t0)
+    if not np.isfinite(res_norm0):
+        record.status = STATUS_NON_FINITE
+        return x, record
     if res_norm0 == 0.0:
         record.status = STATUS_CONVERGED
         return x, record
@@ -143,6 +148,9 @@ def sirt_solve(w: sp.spmatrix, b: np.ndarray, x0: np.ndarray,
         rel = np.linalg.norm(res) / res_norm0
         err2, errinf = _errors(x, x_ex)
         record.log(k, rel, err2, errinf, time.perf_counter() - t0)
+        if not np.isfinite(rel):
+            record.status = STATUS_NON_FINITE
+            return x, record
         if cfg.residual_tolerance > 0 and rel < cfg.residual_tolerance:
             record.status = STATUS_CONVERGED
             return x, record
@@ -193,7 +201,9 @@ def bicgstab_solve(op: Callable[[np.ndarray], np.ndarray], f: np.ndarray,
     `op` applies the system matrix on image-domain vectors, `precond` (when
     given) applies M^{-1}; the solution is reported in the unpreconditioned
     variable. Breakdown (rho or omega vanishing relative to the initial
-    scale) returns the last iterate with breakdown status.
+    scale) returns the last iterate with breakdown status; a residual norm
+    or the denominator of alpha that is NaN or infinite returns it with
+    non-finite status.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -209,6 +219,9 @@ def bicgstab_solve(op: Callable[[np.ndarray], np.ndarray], f: np.ndarray,
     res_norm0 = np.linalg.norm(r)
     err2, errinf = _errors(x, x_ex)
     record.log(0, 1.0, err2, errinf, time.perf_counter() - t0)
+    if not np.isfinite(res_norm0):
+        record.status = STATUS_NON_FINITE
+        return x, record
     if res_norm0 == 0.0:
         record.status = STATUS_CONVERGED
         return x, record
@@ -234,6 +247,10 @@ def bicgstab_solve(op: Callable[[np.ndarray], np.ndarray], f: np.ndarray,
         p_hat = minv(p)
         v = op(p_hat)
         denom = float(r_hat @ v)
+        # an infinite v would pass the breakdown test below
+        if not np.isfinite(denom):
+            record.status = STATUS_NON_FINITE
+            return x, record
         if abs(denom) <= BREAKDOWN_REL_TOL * r_hat_norm * np.linalg.norm(v):
             record.status = STATUS_BREAKDOWN
             return x, record
@@ -259,6 +276,9 @@ def bicgstab_solve(op: Callable[[np.ndarray], np.ndarray], f: np.ndarray,
         rel = np.linalg.norm(r) / res_norm0
         err2, errinf = _errors(x, x_ex)
         record.log(k, rel, err2, errinf, time.perf_counter() - t0)
+        if not np.isfinite(rel):
+            record.status = STATUS_NON_FINITE
+            return x, record
         if cfg.residual_tolerance > 0 and rel < cfg.residual_tolerance:
             record.status = STATUS_CONVERGED
             return x, record

@@ -71,17 +71,16 @@ def _dense_band_correction(a: np.ndarray, r_band: np.ndarray) -> np.ndarray:
     return np.eye(a.shape[0]) - correction
 
 
-def dense_tg_operator(w: sp.spmatrix, n: int, lam: float = 0.0,
-                      smoother_steps: tuple[int, int] = (1, 1)) -> np.ndarray:
-    """Error-propagation matrix of classical TG, taking the SIRT matrix as the
-    smoother's. `classical_tg_preconditioner` matches it only unsmoothed: its
-    smoother relaxes W^T R W + lam I inside a solve of W^T W + lam I."""
+def dense_tg_operator(w: sp.spmatrix, n: int, lam: float = 0.0) -> np.ndarray:
+    """Error-propagation matrix S (I - R^T (R A R^T)^{-1} R A) S of a classical
+    two-grid model: one SIRT pre- and one post-smoothing step around an exact
+    LL coarse correction of A = W^T W + lam I. It is analysed by
+    `spectrum --operator tg` and acceptance criterion 2's kappa(TG); no
+    solver runs this cycle."""
     a = dense_normal(w, lam)
     s = _dense_sirt_iteration_matrix(w, lam)
     r_ll = build_intergrid_set(n)["LL"].toarray()
-    tg = _dense_band_correction(a, r_ll)
-    nu1, nu2 = smoother_steps
-    return np.linalg.matrix_power(s, nu2) @ tg @ np.linalg.matrix_power(s, nu1)
+    return s @ _dense_band_correction(a, r_ll) @ s
 
 
 def dense_wtg_operator(w: sp.spmatrix, n: int, lam: float = 0.0,

@@ -174,6 +174,26 @@ def small_problem(tmp_path):
     return ph, sino, tmp_path
 
 
+@pytest.mark.parametrize("command,options", [
+    pytest.param("reconstruct", ("--solver", "sirt", "--levels", 2),
+                 id="levels"),
+    pytest.param("reconstruct", ("--solver", "bicgstab",
+                                 "--multiplicative-wtg"),
+                 id="multiplicative-wtg"),
+    pytest.param("spectrum", ("--operator", "normal", "--hybrid-wtg"),
+                 id="hybrid-wtg"),
+])
+def test_option_without_its_mode_rejected(small_problem, command, options):
+    _, sino, tmp = small_problem
+    out = tmp / "x"
+    if command == "reconstruct":
+        options += ("--sino", sino, "--iters", 5, "--log", tmp / "l")
+    code = run(command, "--n", 16, "--angles", 24, "--detectors", 24,
+               *options, "--out", out)
+    assert code == EXIT_ARG_ERROR
+    assert not out.exists()
+
+
 class TestReconstructCommand:
     def test_sirt_reconstruction_with_log(self, small_problem):
         ph, sino, tmp = small_problem
@@ -210,13 +230,6 @@ class TestReconstructCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1 and rows[0]["rel_err_l2"] == ""
 
-    def test_levels_without_wmg_rejected(self, small_problem):
-        _, sino, tmp = small_problem
-        code = run("reconstruct", "--sino", sino, "--n", 16, "--angles", 24,
-                   "--detectors", 24, "--solver", "sirt", "--levels", 2,
-                   "--iters", 5, "--out", tmp / "x", "--log", tmp / "l")
-        assert code == EXIT_ARG_ERROR
-
     def test_sinogram_shape_mismatch_rejected(self, small_problem):
         _, sino, tmp = small_problem
         code = run("reconstruct", "--sino", sino, "--n", 16, "--angles", 10,
@@ -234,6 +247,22 @@ class TestReconstructCommand:
                    "--detectors", 24, "--solver", "bicgstab", "--iters", 5,
                    "--out", out, "--log", tmp / "l")
         assert code == EXIT_ARG_ERROR
+        assert not out.exists()
+
+    @pytest.mark.parametrize("solver", ["sirt", "bicgstab", "wmg-bicgstab"])
+    def test_overflowing_sinogram_is_numerical_error(self, small_problem,
+                                                     solver):
+        # 1e308 is finite, so read_grid accepts it, but the residual norm
+        # overflows
+        _, sino, tmp = small_problem
+        values, rows, cols = read_grid(sino)
+        values[7] = 1e308
+        write_grid(sino, values, rows, cols)
+        out = tmp / "x.bin"
+        code = run("reconstruct", "--sino", sino, "--n", 16, "--angles", 24,
+                   "--detectors", 24, "--solver", solver, "--iters", 5,
+                   "--out", out, "--log", tmp / "l")
+        assert code == EXIT_NUMERICAL_ERROR
         assert not out.exists()
 
     @pytest.mark.parametrize("option,value,iters", [

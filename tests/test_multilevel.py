@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from wmgtomo.multilevel import (BAND_IDS, WmgHierarchy,
                                 build_intergrid_set, build_wmg_hierarchy,
-                                classical_tg_preconditioner, haar_scaling_1d,
-                                haar_wavelet_1d, wmg_preconditioner,
-                                wtg_apply)
+                                haar_scaling_1d, haar_wavelet_1d,
+                                wmg_preconditioner, wtg_apply)
 from wmgtomo.geometry import build_geometry, build_projector
 from wmgtomo.solvers import SolverConfig, bicgstab_solve, normal_operator
-from wmgtomo.spectral import dense_tg_operator, dense_wtg_operator
+from wmgtomo.spectral import dense_wtg_operator
 from wmgtomo.sparse_kernels import NotPositiveDefiniteError
 
 
@@ -159,38 +157,6 @@ class TestWtgAgainstDenseOracle:
             wtg_apply(h.root, np.ones(7))
 
 
-class TestClassicalTgAgainstDenseOracle:
-    def test_pure_coarse_correction_matches_error_propagation(self, w16):
-        # without smoothing the cycle is exactly R^T (R A R^T)^{-1} R,
-        # which equals (I - G) A^{-1} for the nu=0 error propagation G
-        _, w = w16
-        lam = 1.0
-        a = (w.T @ w).toarray() + lam * np.eye(256)
-        g_err = dense_tg_operator(w, 16, lam, smoother_steps=(0, 0))
-        minv = classical_tg_preconditioner(w, 16, lam, smoother_steps=(0, 0))
-        rng = np.random.default_rng(4)
-        r = rng.standard_normal(256)
-        expected = (np.eye(256) - g_err) @ np.linalg.solve(a, r)
-        assert np.abs(minv(r) - expected).max() <= 1e-9
-
-    def test_ll_range_error_corrected_exactly(self, w16):
-        # an error (hence residual) lying in the LL range is removed in one
-        # smoother-free cycle
-        _, w = w16
-        lam = 1.0
-        a = (w.T @ w).toarray() + lam * np.eye(256)
-        grids = build_intergrid_set(16)
-        e = grids["LL"].T @ np.random.default_rng(5).standard_normal(64)
-        minv = classical_tg_preconditioner(w, 16, lam, smoother_steps=(0, 0))
-        z = minv(a @ e)
-        assert np.abs(z - e).max() <= 1e-9
-
-    def test_validation(self, w16):
-        _, w = w16
-        with pytest.raises(ValueError):
-            classical_tg_preconditioner(w, 16, 0.0, smoother_steps=(-1, 1))
-
-
 class TestPreconditionedSolves:
     def test_wmg_accelerates_bicgstab(self, w16, phantom16):
         _, w = w16
@@ -215,14 +181,3 @@ class TestPreconditionedSolves:
         cfg = SolverConfig(max_iterations=100, residual_tolerance=1e-10)
         _, rec = bicgstab_solve(op, f, precond=m, cfg=cfg)
         assert rec.rel_residual[-1] <= 1e-10
-
-    def test_tg_accelerates_bicgstab(self, w16, phantom16):
-        _, w = w16
-        lam = 1.0
-        op = normal_operator(w, lam)
-        f = w.T @ (w @ phantom16)
-        m = classical_tg_preconditioner(w, 16, lam)
-        cfg = SolverConfig(max_iterations=200, residual_tolerance=1e-10)
-        _, rec_plain = bicgstab_solve(op, f, cfg=cfg)
-        _, rec_tg = bicgstab_solve(op, f, precond=m, cfg=cfg)
-        assert rec_tg.iterations[-1] <= rec_plain.iterations[-1]

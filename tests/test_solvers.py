@@ -10,9 +10,9 @@ from wmgtomo.phantom import add_noise, shepp_logan
 from wmgtomo.sparse_kernels import DimensionMismatchError
 from wmgtomo.solvers import (ConvergenceRecord, STATUS_BREAKDOWN,
                              STATUS_CONVERGED, STATUS_MAX_ITERATIONS,
-                             SolverConfig, bicgstab_solve, dense_normal,
-                             find_kopt, normal_operator, sirt_scaling,
-                             sirt_solve)
+                             STATUS_NON_FINITE, SolverConfig, bicgstab_solve,
+                             dense_normal, find_kopt, normal_operator,
+                             sirt_scaling, sirt_solve)
 
 
 class TestConfigAndRecord:
@@ -95,6 +95,15 @@ class TestSirtSolve:
         with pytest.raises(DimensionMismatchError):
             sirt_solve(w, np.ones(3), None, SolverConfig())
 
+    def test_divergence_stops_as_non_finite(self):
+        # W = [1], lambda = 1e3: x <- 1 - 1e3 x grows until it overflows
+        w = sp.csr_matrix(np.array([[1.0]]))
+        cfg = SolverConfig(max_iterations=500, regularization_lambda=1e3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, rec = sirt_solve(w, np.ones(1), None, cfg)
+        assert rec.status == STATUS_NON_FINITE
+        assert rec.iterations[-1] < 500
+
 
 class TestNormalOperator:
     def test_matches_dense(self, w16):
@@ -171,6 +180,14 @@ class TestBicgstab:
         x, rec = bicgstab_solve(lambda v: np.zeros_like(v), f,
                                 cfg=SolverConfig(max_iterations=10))
         assert rec.status == STATUS_BREAKDOWN
+
+    def test_infinite_preconditioner_output_is_non_finite(self):
+        # v = inf makes the alpha denominator +inf, which the breakdown test
+        # alone would report as a breakdown
+        _, rec = bicgstab_solve(lambda v: v, np.ones(8),
+                                precond=lambda v: np.full_like(v, np.inf),
+                                cfg=SolverConfig(max_iterations=10))
+        assert rec.status == STATUS_NON_FINITE
 
     def test_iteration_zero_and_warm_start(self, spd8):
         a, _, _ = spd8

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wmgtomo.solvers import sirt_scaling
 from wmgtomo.spectral import (Spectrum, dense_tg_operator, dense_wtg_operator,
                               preconditioned_spectrum, sirt_spectrum)
 
@@ -80,6 +79,25 @@ class TestDenseOperators:
 
     def test_tg_contracts_with_smoothing(self, w16):
         _, w = w16
-        g = dense_tg_operator(w, 16, 1.0, smoother_steps=(1, 1))
+        g = dense_tg_operator(w, 16, 1.0)
         assert np.abs(np.linalg.eigvals(g)).max() < 1.0
 
+    def test_tg_is_smoothed_ll_coarse_correction(self, w16):
+        # S (I - R^T (R A R^T)^{-1} R A) S built from dense numpy alone:
+        # S = I - C (W^T R_w W + lam I) with C, R_w the inverse column and
+        # row sums, and R the LL restriction kron(h, h)
+        _, w = w16
+        lam = 1.0
+        wd = w.toarray()
+        eye = np.eye(256)
+        a = wd.T @ wd + lam * eye
+        rows, cols = wd.sum(axis=1), wd.sum(axis=0)
+        r_w = np.divide(1.0, rows, out=np.zeros_like(rows), where=rows > 0)
+        c = np.divide(1.0, cols, out=np.zeros_like(cols), where=cols > 0)
+        s = eye - c[:, None] * (wd.T @ (r_w[:, None] * wd) + lam * eye)
+        h = np.kron(np.eye(8), [1.0, 1.0]) / np.sqrt(2.0)
+        r_ll = np.kron(h, h)
+        coarse = r_ll @ a @ r_ll.T
+        expected = s @ (eye - r_ll.T @ np.linalg.solve(coarse, r_ll @ a)) @ s
+        got = dense_tg_operator(w, 16, lam)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
