@@ -162,7 +162,7 @@ def cmd_project(args) -> int:
     return 0
 
 
-def _run_solver(solver, w, g, b, cfg, x_ex, levels, multiplicative):
+def _run_solver(solver, w, g, b, cfg, x_ex, levels):
     if solver == "sirt":
         return sirt_solve(w, b, np.zeros(g.n_image), cfg, x_ex=x_ex)
     lam = cfg.regularization_lambda
@@ -171,7 +171,7 @@ def _run_solver(solver, w, g, b, cfg, x_ex, levels, multiplicative):
     precond = None
     if solver == "wmg-bicgstab":
         h = build_wmg_hierarchy(w, g.n_pixels_per_side, lam, levels)
-        precond = wmg_preconditioner(h, multiplicative=multiplicative)
+        precond = wmg_preconditioner(h)
     return bicgstab_solve(op, f, precond=precond, cfg=cfg, x_ex=x_ex)
 
 
@@ -181,12 +181,9 @@ def cmd_reconstruct(args) -> int:
         raise CliError(
             f"sinogram is {rows}x{cols}, geometry says "
             f"{args.angles}x{args.detectors}")
-    if args.solver != "wmg-bicgstab":
-        if args.levels is not None:
-            raise CliError("--levels requires --solver wmg-bicgstab")
-        if args.multiplicative_wtg:
-            raise CliError("--multiplicative-wtg requires --solver "
-                           "wmg-bicgstab")
+    if args.solver != "wmg-bicgstab" and args.levels is not None:
+        raise CliError("--levels requires --solver wmg-bicgstab")
+    levels = args.levels or 3
     # SolverConfig's checks, also for --iters 0, which builds no config
     check_nonneg(args.tol, "--tol")
     check_nonneg(args.regularization, "--lambda")
@@ -209,8 +206,7 @@ def cmd_reconstruct(args) -> int:
         cfg = SolverConfig(max_iterations=args.iters,
                            residual_tolerance=args.tol,
                            regularization_lambda=args.regularization)
-        x, record = _run_solver(args.solver, w, g, b, cfg, x_ex,
-                                args.levels or 3, args.multiplicative_wtg)
+        x, record = _run_solver(args.solver, w, g, b, cfg, x_ex, levels)
         if record.status == STATUS_NON_FINITE:
             print(f"numerical failure: {args.solver} stopped after iteration "
                   f"{record.iterations[-1]} on a NaN or infinite residual "
@@ -226,16 +222,16 @@ def cmd_reconstruct(args) -> int:
                     detectors=args.detectors, solver=args.solver,
                     iters=args.iters, tol=args.tol,
                     regularization_lambda=args.regularization,
-                    levels=args.levels or "",
-                    multiplicative_wtg=args.multiplicative_wtg,
+                    levels=levels if args.solver == "wmg-bicgstab" else "",
                     status=record.status if args.iters else "skipped")
     write_manifest(str(args.out) + ".manifest", manifest)
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    if args.hybrid_wtg and args.operator != "wtg":
-        raise CliError("--hybrid-wtg requires --operator wtg")
+    check_nonneg(args.modes, "--modes")
+    if args.modes and args.operator != "sirt-s":
+        raise CliError("--modes requires --operator sirt-s")
     g = build_geometry(args.n, args.detectors or args.n, args.angles)
     w = build_projector(g)
     modes = None
@@ -245,8 +241,7 @@ def cmd_spectrum(args) -> int:
             modes = spec.eigenvectors[:, :args.modes]
     else:
         kind = {"normal": "none", "tg": "tg", "wtg": "wtg"}[args.operator]
-        spec = preconditioned_spectrum(w, args.n, args.regularization, kind,
-                                       hybrid_wtg=args.hybrid_wtg)
+        spec = preconditioned_spectrum(w, args.n, args.regularization, kind)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "real", "imag", "magnitude"])
@@ -265,9 +260,6 @@ def cmd_spectrum(args) -> int:
                     detectors=args.detectors or args.n,
                     operator=args.operator,
                     regularization_lambda=args.regularization)
-    if args.operator == "wtg":
-        manifest["wtg_form"] = ("hybrid" if args.hybrid_wtg
-                                else "multiplicative")
     if spec.condition_number is not None:
         manifest["condition_number"] = repr(spec.condition_number)
         print(f"kappa = {spec.condition_number:.4e}")
@@ -276,6 +268,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if not 0 < args.iters_scale < np.inf:
+        raise CliError(f"--iters-scale must be finite and positive, got "
+                       f"{args.iters_scale}")
     table = args.table
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -294,7 +289,7 @@ def cmd_bench(args) -> int:
         budget = max(1, int(round(iters * args.iters_scale)))
         cfg = SolverConfig(max_iterations=budget, regularization_lambda=lam)
         t0 = time.perf_counter()
-        x, record = _run_solver(solver, w, g, b, cfg, x_ex, args.levels, False)
+        x, record = _run_solver(solver, w, g, b, cfg, x_ex, args.levels)
         elapsed = time.perf_counter() - t0
         rel_l2, rel_linf = error_metrics(x, x_ex)
         low, high = 0.7 * target_l2, 1.3 * target_l2
@@ -353,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=0.0)
     p.add_argument("--lambda", dest="regularization", type=float, default=0.0)
     p.add_argument("--levels", type=int)
-    p.add_argument("--multiplicative-wtg", action="store_true")
     p.add_argument("--xexact")
     p.add_argument("--out", required=True)
     p.add_argument("--log", required=True)
@@ -367,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--operator", required=True,
                    choices=["sirt-s", "normal", "tg", "wtg"])
     p.add_argument("--lambda", dest="regularization", type=float, default=0.0)
-    p.add_argument("--hybrid-wtg", action="store_true")
     p.add_argument("--modes", type=int, default=0,
                    help="export this many eigenmode images (sirt-s only)")
     p.add_argument("--modes-prefix", default="mode_")

@@ -144,20 +144,17 @@ def build_wmg_hierarchy(w: sp.spmatrix, n: int, lam: float,
     return WmgHierarchy(levels=levels, lam=lam, root=root)
 
 
-def _solve_node(node: WmgNode, r: np.ndarray, multiplicative: bool) -> np.ndarray:
+def _solve_node(node: WmgNode, r: np.ndarray) -> np.ndarray:
     if node.is_coarsest:
         return node.coarse_solve.solve(r)
-    return wtg_apply(node, r, multiplicative=multiplicative)
+    return wtg_apply(node, r)
 
 
-def wtg_apply(node: WmgNode, r: np.ndarray,
-              multiplicative: bool = False) -> np.ndarray:
+def wtg_apply(node: WmgNode, r: np.ndarray) -> np.ndarray:
     """One wavelet two-grid correction for the node's system, zero initial guess.
 
-    Hybrid variant (default): the residual is recomputed once after the LL
-    correction; the LH/HL/HH corrections are additive among themselves.
-    Multiplicative variant: the residual is refreshed after every band,
-    matching the fully multiplicative error-propagation product.
+    The LL correction comes first; the residual is then recomputed once and
+    the LH/HL/HH corrections are added from it, additive among themselves.
     """
     r = np.asarray(r, dtype=np.float64)
     if r.shape[0] != node.dim:
@@ -165,22 +162,14 @@ def wtg_apply(node: WmgNode, r: np.ndarray,
             f"wtg_apply: residual length {r.shape[0]} != {node.dim}")
     grids = node.intergrid
     r_ll = grids["LL"] @ r
-    e = grids["LL"].T @ _solve_node(node.children["LL"], r_ll, multiplicative)
+    e = grids["LL"].T @ _solve_node(node.children["LL"], r_ll)
     r_work = r - node.apply_system(e)
     for band in ("LH", "HL", "HH"):
         r_band = grids[band] @ r_work
-        e = e + grids[band].T @ _solve_node(node.children[band], r_band,
-                                            multiplicative)
-        if multiplicative and band != "HH":
-            r_work = r - node.apply_system(e)
+        e = e + grids[band].T @ _solve_node(node.children[band], r_band)
     return e
 
 
-def wmg_preconditioner(h: WmgHierarchy, multiplicative: bool = False,
-                       ) -> Callable[[np.ndarray], np.ndarray]:
+def wmg_preconditioner(h: WmgHierarchy) -> Callable[[np.ndarray], np.ndarray]:
     """One V-cycle as an approximate solve of (W^T W + lambda I) z = v."""
-
-    def minv(v: np.ndarray) -> np.ndarray:
-        return wtg_apply(h.root, v, multiplicative=multiplicative)
-
-    return minv
+    return lambda v: wtg_apply(h.root, v)

@@ -29,8 +29,12 @@ class Spectrum:
 
     def kappa(self) -> float:
         """max|lambda| / min|lambda| of the stored eigenvalues."""
-        mags = np.abs(self.eigenvalues)
-        return float(mags.max() / mags.min())
+        return _magnitude_ratio(self.eigenvalues)
+
+
+def _magnitude_ratio(vals: np.ndarray) -> float:
+    mags = np.abs(vals)
+    return float(mags.max() / mags.min())
 
 
 def _sorted_by_magnitude(vals, vecs=None):
@@ -57,11 +61,10 @@ def sirt_spectrum(w: sp.spmatrix, with_eigenvectors: bool = False) -> Spectrum:
     s = _dense_sirt_iteration_matrix(w)
     if with_eigenvectors:
         vals, vecs = scipy.linalg.eig(s)
-        vals, vecs = _sorted_by_magnitude(vals, vecs)
-        return Spectrum(eigenvalues=vals, label="sirt-S", eigenvectors=vecs)
-    vals = scipy.linalg.eigvals(s)
-    vals, _ = _sorted_by_magnitude(vals)
-    return Spectrum(eigenvalues=vals, label="sirt-S")
+    else:
+        vals, vecs = scipy.linalg.eigvals(s), None
+    vals, vecs = _sorted_by_magnitude(vals, vecs)
+    return Spectrum(eigenvalues=vals, label="sirt-S", eigenvectors=vecs)
 
 
 def _dense_band_correction(a: np.ndarray, r_band: np.ndarray) -> np.ndarray:
@@ -83,24 +86,15 @@ def dense_tg_operator(w: sp.spmatrix, n: int, lam: float = 0.0) -> np.ndarray:
     return s @ _dense_band_correction(a, r_ll) @ s
 
 
-def dense_wtg_operator(w: sp.spmatrix, n: int, lam: float = 0.0,
-                       hybrid: bool = False) -> np.ndarray:
-    """Error-propagation matrix of the wavelet two-grid correction.
-
-    Multiplicative form (default): the product of the four band corrections,
-    LL applied first. Hybrid form: LL first, then the three oscillatory-band
-    corrections applied additively to the refreshed residual.
-    """
+def dense_wtg_operator(w: sp.spmatrix, n: int, lam: float = 0.0) -> np.ndarray:
+    """Error-propagation matrix of the wavelet two-grid correction that
+    `multilevel.wtg_apply` runs: the LL correction first, then the three
+    oscillatory-band corrections added from one refreshed residual."""
     a = dense_normal(w, lam)
     grids = build_intergrid_set(n)
     dense_r = {band: grids[band].toarray() for band in BAND_IDS}
     ll = _dense_band_correction(a, dense_r["LL"])
-    if not hybrid:
-        out = ll
-        for band in ("LH", "HL", "HH"):
-            out = _dense_band_correction(a, dense_r[band]) @ out
-        return out
-    # hybrid: e += sum_id R^T A_id^{-1} R r' with a single refreshed residual
+    # e += sum_id R^T A_id^{-1} R r' with a single refreshed residual
     accum = np.zeros_like(a)
     for band in ("LH", "HL", "HH"):
         r_band = dense_r[band]
@@ -110,8 +104,7 @@ def dense_wtg_operator(w: sp.spmatrix, n: int, lam: float = 0.0,
 
 
 def preconditioned_spectrum(w: sp.spmatrix, n: int, lam: float,
-                            precond_kind: str,
-                            hybrid_wtg: bool = False) -> Spectrum:
+                            precond_kind: str) -> Spectrum:
     """Spectrum (and kappa) of the preconditioned Krylov iteration matrix.
 
     'none' returns the spectrum of A = W^T W + lam*I itself; 'tg' and 'wtg'
@@ -120,23 +113,17 @@ def preconditioned_spectrum(w: sp.spmatrix, n: int, lam: float,
     """
     a = dense_normal(w, lam)
     if precond_kind == "none":
-        vals = scipy.linalg.eigvalsh(a)
-        vals, _ = _sorted_by_magnitude(vals.astype(np.complex128))
-        spec = Spectrum(eigenvalues=vals, label="normal-A")
-        return Spectrum(eigenvalues=vals, label="normal-A",
-                        condition_number=spec.kappa())
-    if precond_kind == "tg":
-        g = dense_tg_operator(w, n, lam)
-        label = "tg-preconditioned"
-    elif precond_kind == "wtg":
-        g = dense_wtg_operator(w, n, lam, hybrid=hybrid_wtg)
-        label = "wtg-preconditioned"
+        vals = scipy.linalg.eigvalsh(a).astype(np.complex128)
+        label = "normal-A"
     else:
-        raise ValueError(f"unknown preconditioner kind '{precond_kind}'")
-    # I - A G A^{-1}: right-preconditioned iteration matrix
-    iteration = np.eye(a.shape[0]) - a @ np.linalg.solve(a.T, g.T).T
-    vals = scipy.linalg.eigvals(iteration)
+        dense_error = {"tg": dense_tg_operator, "wtg": dense_wtg_operator}
+        if precond_kind not in dense_error:
+            raise ValueError(f"unknown preconditioner kind '{precond_kind}'")
+        g = dense_error[precond_kind](w, n, lam)
+        label = f"{precond_kind}-preconditioned"
+        # I - A G A^{-1}: right-preconditioned iteration matrix
+        iteration = np.eye(a.shape[0]) - a @ np.linalg.solve(a.T, g.T).T
+        vals = scipy.linalg.eigvals(iteration)
     vals, _ = _sorted_by_magnitude(vals)
-    spec = Spectrum(eigenvalues=vals, label=label)
-    return Spectrum(eigenvalues=vals, label=label, condition_number=spec.kappa())
-
+    return Spectrum(eigenvalues=vals, label=label,
+                    condition_number=_magnitude_ratio(vals))

@@ -296,16 +296,16 @@ def test_criterion_7_property_suites(w40):
             if np.abs(via_fine - via_gram).max() > 1e-10 * scale:
                 failures.append(f"galerkin {band} lam={lam}")
 
-    # WTG algorithm vs dense operator oracle, 16x16, multiplicative
+    # WTG algorithm vs dense operator oracle, 16x16
     g16 = build_geometry(16, 24, 24)
     w16 = build_projector(g16)
     lam = 1.0
     a16 = (w16.T @ w16).toarray() + lam * np.eye(256)
-    g_err = dense_wtg_operator(w16, 16, lam, hybrid=False)
+    g_err = dense_wtg_operator(w16, 16, lam)
     h16 = build_wmg_hierarchy(w16, 16, lam, 2)
     r = rng.standard_normal(256)
     expected = (np.eye(256) - g_err) @ np.linalg.solve(a16, r)
-    got = wtg_apply(h16.root, r, multiplicative=True)
+    got = wtg_apply(h16.root, r)
     if np.abs(got - expected).max() > 1e-9:
         failures.append("wtg vs dense oracle")
 

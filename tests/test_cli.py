@@ -1,5 +1,6 @@
 import csv
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,23 +175,52 @@ def small_problem(tmp_path):
     return ph, sino, tmp_path
 
 
+def read_manifest(path) -> dict:
+    lines = Path(str(path) + ".manifest").read_text().splitlines()
+    return dict(line.split("=", 1) for line in lines)
+
+
 @pytest.mark.parametrize("command,options", [
     pytest.param("reconstruct", ("--solver", "sirt", "--levels", 2),
                  id="levels"),
-    pytest.param("reconstruct", ("--solver", "bicgstab",
-                                 "--multiplicative-wtg"),
-                 id="multiplicative-wtg"),
-    pytest.param("spectrum", ("--operator", "normal", "--hybrid-wtg"),
-                 id="hybrid-wtg"),
+    pytest.param("spectrum", ("--operator", "normal", "--modes", 3),
+                 id="modes-normal"),
+    pytest.param("spectrum", ("--operator", "tg", "--modes", 3),
+                 id="modes-tg"),
+    pytest.param("spectrum", ("--operator", "wtg", "--modes", 3),
+                 id="modes-wtg"),
 ])
 def test_option_without_its_mode_rejected(small_problem, command, options):
     _, sino, tmp = small_problem
     out = tmp / "x"
     if command == "reconstruct":
         options += ("--sino", sino, "--iters", 5, "--log", tmp / "l")
+    else:
+        options += ("--modes-prefix", tmp / "mode_")
     code = run(command, "--n", 16, "--angles", 24, "--detectors", 24,
                *options, "--out", out)
     assert code == EXIT_ARG_ERROR
+    assert not out.exists()
+    assert not list(tmp.glob("mode_*"))
+
+
+@pytest.mark.parametrize("command,options", [
+    pytest.param("reconstruct", ("--solver", "wmg-bicgstab",
+                                 "--multiplicative-wtg"),
+                 id="multiplicative-wtg"),
+    pytest.param("spectrum", ("--operator", "wtg", "--hybrid-wtg"),
+                 id="hybrid-wtg"),
+])
+def test_removed_wtg_flag_refused(small_problem, command, options):
+    # one WTG form is left, so argparse no longer knows these flags
+    _, sino, tmp = small_problem
+    out = tmp / "x"
+    if command == "reconstruct":
+        options += ("--sino", sino, "--iters", 5, "--log", tmp / "l")
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--n", 16, "--angles", 24, "--detectors", 24,
+            *options, "--out", out)
+    assert exc.value.code == EXIT_ARG_ERROR
     assert not out.exists()
 
 
@@ -206,6 +236,7 @@ class TestReconstructCommand:
         assert len(rows) == 31
         assert rows[0]["iter"] == "0" and rows[0]["rel_res"] == "1.0"
         assert float(rows[-1]["rel_err_l2"]) < float(rows[0]["rel_err_l2"])
+        assert read_manifest(out)["levels"] == ""
 
     def test_wmg_bicgstab_converges(self, small_problem):
         ph, sino, tmp = small_problem
@@ -217,6 +248,14 @@ class TestReconstructCommand:
         with open(log) as fh:
             rows = list(csv.DictReader(fh))
         assert float(rows[-1]["rel_err_l2"]) < 0.2
+        assert read_manifest(out)["levels"] == "2"
+        # without --levels the manifest records the default that was built
+        out3 = tmp / "x3.bin"
+        assert run("reconstruct", "--sino", sino, "--n", 16, "--angles", 24,
+                   "--detectors", 24, "--solver", "wmg-bicgstab",
+                   "--lambda", 1.0, "--iters", 1, "--out", out3,
+                   "--log", tmp / "conv3.csv") == 0
+        assert read_manifest(out3)["levels"] == "3"
 
     def test_iters_zero_writes_zero_image(self, small_problem):
         _, sino, tmp = small_problem
@@ -334,6 +373,14 @@ class TestSpectrumCommand:
         for j in range(2):
             assert (tmp_path / f"mode_{j:03d}.pgm").exists()
 
+    def test_negative_mode_count_rejected(self, tmp_path):
+        out = tmp_path / "spec.csv"
+        assert run("spectrum", "--n", 6, "--angles", 12, "--operator",
+                   "sirt-s", "--modes", -1, "--modes-prefix",
+                   tmp_path / "mode_", "--out", out) == EXIT_ARG_ERROR
+        assert not out.exists()
+        assert not list(tmp_path.glob("mode_*"))
+
 
 class TestBenchCommand:
     def test_smoke_and_determinism(self, tmp_path):
@@ -361,3 +408,11 @@ class TestBenchCommand:
                                                "wmg-bicgstab"]
         manifest = (tmp_path / "table1.csv.manifest").read_text()
         assert "noise=0.0" in manifest
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+    def test_bad_iters_scale_rejected(self, tmp_path, scale):
+        outdir = tmp_path / "bench"
+        assert run("bench", "--table", "1", "--n", 16, "--angles", 24,
+                   "--detectors", 24, "--iters-scale", scale,
+                   "--outdir", outdir) == EXIT_ARG_ERROR
+        assert not outdir.exists()

@@ -135,19 +135,17 @@ class TestWtgAgainstDenseOracle:
     """wtg_apply from a zero guess must equal (I - G) A^{-1} with G the
     densely assembled error-propagation operator."""
 
-    @pytest.mark.parametrize("multiplicative,hybrid", [(True, False),
-                                                       (False, True)])
-    def test_two_level_16(self, w16, multiplicative, hybrid):
+    def test_two_level_16(self, w16):
         _, w = w16
         lam = 1.0
         a = (w.T @ w).toarray() + lam * np.eye(256)
-        g_err = dense_wtg_operator(w, 16, lam, hybrid=hybrid)
+        g_err = dense_wtg_operator(w, 16, lam)
         h = build_wmg_hierarchy(w, 16, lam, 2)
         rng = np.random.default_rng(2)
         for _ in range(3):
             r = rng.standard_normal(256)
             expected = (np.eye(256) - g_err) @ np.linalg.solve(a, r)
-            got = wtg_apply(h.root, r, multiplicative=multiplicative)
+            got = wtg_apply(h.root, r)
             assert np.abs(got - expected).max() <= 1e-9
 
     def test_dimension_check(self, w16):
@@ -170,14 +168,3 @@ class TestPreconditionedSolves:
                                     cfg=cfg)
         assert rec_wmg.iterations[-1] < rec_plain.iterations[-1]
         assert rec_wmg.rel_residual[-1] <= 1e-10
-
-    def test_multiplicative_variant_also_solves(self, w16, phantom16):
-        _, w = w16
-        lam = 1.0
-        op = normal_operator(w, lam)
-        f = w.T @ (w @ phantom16)
-        h = build_wmg_hierarchy(w, 16, lam, 2)
-        m = wmg_preconditioner(h, multiplicative=True)
-        cfg = SolverConfig(max_iterations=100, residual_tolerance=1e-10)
-        _, rec = bicgstab_solve(op, f, precond=m, cfg=cfg)
-        assert rec.rel_residual[-1] <= 1e-10

@@ -69,12 +69,10 @@ class TestPreconditionedSpectrum:
 
 
 class TestDenseOperators:
-    def test_wtg_multiplicative_is_product_of_corrections(self, w16):
-        # applying the operator to a vector in one band's range after that
-        # band's correction annihilates it up to coupling through A
+    def test_wtg_is_contraction(self, w16):
+        # the WTG error propagation must be a strict contraction
         _, w = w16
         g = dense_wtg_operator(w, 16, 1.0)
-        # contraction: the WTG error propagation must be a strict contraction
         assert np.abs(np.linalg.eigvals(g)).max() < 1.0
 
     def test_tg_contracts_with_smoothing(self, w16):
