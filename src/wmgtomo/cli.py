@@ -24,7 +24,8 @@ import numpy as np
 
 from . import __version__
 from .geometry import build_geometry, build_projector
-from .multilevel import build_wmg_hierarchy, wmg_preconditioner
+from .multilevel import (build_wmg_hierarchy, check_levels,
+                         wmg_preconditioner)
 from .phantom import add_noise, error_metrics, shepp_logan
 from .solvers import (STATUS_NON_FINITE, ConvergenceRecord, SolverConfig,
                       bicgstab_solve, check_nonneg, normal_operator,
@@ -170,7 +171,7 @@ def _run_solver(solver, w, g, b, cfg, x_ex, levels):
     f = w.T @ b
     precond = None
     if solver == "wmg-bicgstab":
-        h = build_wmg_hierarchy(w, g.n_pixels_per_side, lam, levels)
+        h = build_wmg_hierarchy(w, g, lam, levels)
         precond = wmg_preconditioner(h)
     return bicgstab_solve(op, f, precond=precond, cfg=cfg, x_ex=x_ex)
 
@@ -183,7 +184,9 @@ def cmd_reconstruct(args) -> int:
             f"{args.angles}x{args.detectors}")
     if args.solver != "wmg-bicgstab" and args.levels is not None:
         raise CliError("--levels requires --solver wmg-bicgstab")
-    levels = args.levels or 3
+    levels = 3 if args.levels is None else args.levels
+    if args.solver == "wmg-bicgstab":
+        check_levels(args.n, levels)
     # SolverConfig's checks, also for --iters 0, which builds no config
     check_nonneg(args.tol, "--tol")
     check_nonneg(args.regularization, "--lambda")
@@ -271,6 +274,7 @@ def cmd_bench(args) -> int:
     if not 0 < args.iters_scale < np.inf:
         raise CliError(f"--iters-scale must be finite and positive, got "
                        f"{args.iters_scale}")
+    check_levels(args.n, args.levels)  # every table has a wmg-bicgstab row
     table = args.table
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

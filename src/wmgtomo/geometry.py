@@ -64,6 +64,32 @@ def build_geometry(n: int, n_detectors: int, n_angles: int) -> Geometry:
                     n_angles=n_angles, angles=angles)
 
 
+def mirror_rows(g: Geometry) -> tuple[np.ndarray, np.ndarray]:
+    """W's rows split by the mirror theta -> pi - theta: (single, half).
+
+    With centred detectors, the ray at angle pi - theta and detector i is
+    the x-mirror of the ray at theta and detector i. Angles a < b pair when
+    |a + b - pi| <= 1e-12; `half` (A) holds the rows of the smaller angle of
+    each pair, and `single` (S) the rows of every angle without a distinct
+    partner. Then W^T W = H_S + H_A + F H_A F, with H_X the Gram matrix over
+    the rows X and F the x-flip of the image. Both are sorted; `half` is
+    empty when no angle pairs.
+    """
+    a = g.angles
+    k = np.arange(g.n_angles)
+    # the first angle within the tolerance of pi - a; a pair must be mutual
+    near = np.minimum(np.searchsorted(a, np.pi - a - 1e-12), g.n_angles - 1)
+    paired = ((np.abs(a + a[near] - np.pi) <= 1e-12) & (near != k)
+              & (near[near] == k))
+    detectors = np.arange(g.n_detectors)
+
+    def rows(angles):
+        return (angles[:, None] * g.n_detectors + detectors).ravel()
+
+    return (rows(np.flatnonzero(~paired)),
+            rows(np.flatnonzero(paired & (k < near))))
+
+
 def _snapped_trig(theta: float) -> tuple[float, float]:
     """cos/sin with 1-ulp residue at axis-aligned angles snapped to exact
     values, so axis-aligned rays produce exactly unit weights."""

@@ -5,7 +5,8 @@ Every hierarchy node stores only its tall-and-skinny factor P (the fine
 projector times accumulated interpolations), so its Galerkin operator is
 exactly Gram(P) + lambda*I; the orthonormal-row Haar restrictions make the
 regularization term pass through coarsening unchanged. Coarsest-level
-subproblems are assembled densely and Cholesky-factored once at build time.
+subproblems are assembled densely, from the rays the scan's mirror symmetry
+leaves (half of them), and Cholesky-factored once at build time.
 
 Subspace naming: images are row-major array[row, col] with row = y and
 col = x (see geometry module). A band name is (x-band, y-band), so LH means
@@ -21,6 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
+from .geometry import Geometry, mirror_rows
 from .sparse_kernels import (DenseFactorization, DimensionMismatchError,
                              NotPositiveDefiniteError, cholesky_factor, spgemm)
 from .solvers import check_nonneg, dense_normal, normal_operator
@@ -105,42 +107,102 @@ class WmgHierarchy:
     root: WmgNode
 
 
+def _row_block(p: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
+    """p[rows] for sorted rows; a view of p's arrays when they are one range."""
+    lo, hi = int(rows[0]), int(rows[-1]) + 1
+    if hi - lo != rows.size:
+        return p[rows]
+    if (lo, hi) == (0, p.shape[0]):
+        return p
+    start, stop = p.indptr[lo], p.indptr[hi]
+    return sp.csr_matrix((p.data[start:stop], p.indices[start:stop],
+                          p.indptr[lo:hi + 1] - start),
+                         shape=(hi - lo, p.shape[1]), copy=False)
+
+
+def _coarse_gram(p: sp.csr_matrix, r_t: sp.csr_matrix, side: int,
+                 lam: float, mirror: tuple) -> np.ndarray:
+    """Dense P_b^T P_b + lambda I of the coarsest factor P_b = p r_t.
+
+    Only p's S and A rows are multiplied (geometry.mirror_rows): the Gram
+    is H_S + H_A + F H_A F, where F reverses x in the side-by-side image.
+    Every Haar band is even or odd under F, so the sign of P_b's mirrored
+    rows cancels in the Gram matrix.
+    """
+    single, half = mirror
+    if not half.size:
+        return dense_normal(spgemm(p, r_t), lam)
+    rows = np.union1d(single, half)
+    c = spgemm(_row_block(p, rows), r_t)
+    g = dense_normal(_row_block(c, np.searchsorted(rows, half)), 0.0)
+    # an image index is (y, x), so (F H F)[i, j] = H[F i, F j] reverses the
+    # x axis of both indices
+    quad = g.reshape(side, side, side, side)
+    quad += quad[:, ::-1, :, ::-1]
+    if single.size:
+        c_s = c[np.searchsorted(rows, single)]
+        h_s = (c_s.T @ c_s).tocoo()
+        g[h_s.row, h_s.col] += h_s.data
+    if lam != 0:
+        g[np.diag_indices_from(g)] += lam
+    return g
+
+
+def _coarse_node(p: sp.csr_matrix, r_t: sp.csr_matrix, side: int,
+                 level: int, lam: float, path: str, mirror: tuple) -> WmgNode:
+    try:
+        solve = cholesky_factor(_coarse_gram(p, r_t, side, lam, mirror))
+    except NotPositiveDefiniteError as exc:
+        raise NotPositiveDefiniteError(
+            f"coarsest subproblem '{path}' is singular "
+            f"(lambda={lam}): {exc}") from exc
+    # the factor is only needed to assemble the Gram matrix
+    return WmgNode(side=side, level=level, path=path, factor=None, lam=lam,
+                   coarse_solve=solve)
+
+
 def _build_node(p: sp.csr_matrix, side: int, level: int, levels: int,
-                lam: float, path: str) -> WmgNode:
-    if level == levels:
-        try:
-            solve = cholesky_factor(dense_normal(p, lam))
-        except NotPositiveDefiniteError as exc:
-            raise NotPositiveDefiniteError(
-                f"coarsest subproblem '{path or 'root'}' is singular "
-                f"(lambda={lam}): {exc}") from exc
-        # the factor is only needed to assemble the Gram matrix
-        return WmgNode(side=side, level=level, path=path, factor=None,
-                       lam=lam, coarse_solve=solve)
+                lam: float, path: str, mirror: tuple) -> WmgNode:
     node = WmgNode(side=side, level=level, path=path, factor=p, lam=lam,
                    intergrid=build_intergrid_set(side))
     for band in BAND_IDS:
-        child_p = spgemm(p, node.intergrid[band].T)
+        r_t = node.intergrid[band].T
         child_path = f"{path}/{band}" if path else band
-        node.children[band] = _build_node(child_p, side // 2, level + 1,
-                                          levels, lam, child_path)
+        if level + 1 == levels:
+            child = _coarse_node(p, r_t, side // 2, level + 1, lam,
+                                 child_path, mirror)
+        else:
+            child = _build_node(spgemm(p, r_t), side // 2, level + 1, levels,
+                                lam, child_path, mirror)
+        node.children[band] = child
     return node
 
 
-def build_wmg_hierarchy(w: sp.spmatrix, n: int, lam: float,
-                        levels: int) -> WmgHierarchy:
-    """Recursive 4-way splitting of W into tall-and-skinny coarse factors."""
+def check_levels(n: int, levels: int):
+    """A hierarchy on an n-by-n grid needs levels >= 2 and 2^(levels-1) | n."""
     if levels < 2:
-        raise ValueError("levels must be >= 2")
-    check_nonneg(lam, "lambda")
+        raise ValueError(f"levels must be >= 2, got {levels}")
     if n % (2 ** (levels - 1)) != 0:
         raise ValueError(
             f"n={n} is not divisible by 2^(levels-1)={2 ** (levels - 1)}")
+
+
+def build_wmg_hierarchy(w: sp.spmatrix, g: Geometry, lam: float,
+                        levels: int) -> WmgHierarchy:
+    """Recursive 4-way splitting of W into tall-and-skinny coarse factors.
+
+    `g` is the scan W was built from; its mirror symmetry halves the rows
+    each coarsest Gram matrix reads.
+    """
+    n = g.n_pixels_per_side
+    check_levels(n, levels)
+    check_nonneg(lam, "lambda")
     w = w.tocsr()
-    if w.shape[1] != n * n:
+    if w.shape != (g.n_data, g.n_image):
         raise DimensionMismatchError(
-            f"projector has {w.shape[1]} columns, expected {n * n}")
-    root = _build_node(w, n, 1, levels, lam, "")
+            f"projector is {w.shape[0]}x{w.shape[1]}, expected "
+            f"{g.n_data}x{g.n_image}")
+    root = _build_node(w, n, 1, levels, lam, "", mirror_rows(g))
     return WmgHierarchy(levels=levels, lam=lam, root=root)
 
 

@@ -51,13 +51,19 @@ class DenseFactorization:
         return cholesky_solve(self, rhs)
 
 
+def _asymmetry(g: np.ndarray) -> float:
+    """max|G - G^T|, computed in one N-by-N buffer."""
+    d = g - g.T
+    return np.abs(d, out=d).max()
+
+
 def cholesky_factor(g: np.ndarray) -> DenseFactorization:
     """Factor a dense SPD matrix, raising NotPositiveDefiniteError on failure."""
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionMismatchError(f"cholesky_factor: matrix is not square {g.shape}")
-    scale = np.abs(g).max() if g.size else 0.0
-    if scale and np.abs(g - g.T).max() > CHOLESKY_SYM_TOL * scale:
+    scale = max(g.max(), -g.min()) if g.size else 0.0  # max|G|
+    if scale and _asymmetry(g) > CHOLESKY_SYM_TOL * scale:
         raise NotPositiveDefiniteError("matrix is not symmetric")
     try:
         lower = scipy.linalg.cholesky(g, lower=True)

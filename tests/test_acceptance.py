@@ -56,15 +56,15 @@ def noisy_b(bench):
 
 @pytest.fixture(scope="module")
 def wmg_lam0(bench):
-    _, w, _, _ = bench
-    return wmg_preconditioner(build_wmg_hierarchy(w, 160, 0.0, 3))
+    g, w, _, _ = bench
+    return wmg_preconditioner(build_wmg_hierarchy(w, g, 0.0, 3))
 
 
 @pytest.fixture(scope="module")
 def noisy_runs(bench, noisy_b):
     """The regularized noisy-data runs shared by criteria 4 and 6:
     SIRT(lambda=0.001)@1000, BiCGStab(lambda=10)@100, WMG(lambda=10)@14."""
-    _, w, x_ex, _ = bench
+    g, w, x_ex, _ = bench
     records = {}
     _, records["sirt"] = sirt_solve(
         w, noisy_b, None,
@@ -76,7 +76,7 @@ def noisy_runs(bench, noisy_b):
         op10, f10,
         cfg=SolverConfig(max_iterations=100, regularization_lambda=10.0),
         x_ex=x_ex)
-    m10 = wmg_preconditioner(build_wmg_hierarchy(w, 160, 10.0, 3))
+    m10 = wmg_preconditioner(build_wmg_hierarchy(w, g, 10.0, 3))
     _, records["wmg"] = bicgstab_solve(
         op10, f10, precond=m10,
         cfg=SolverConfig(max_iterations=14, regularization_lambda=10.0),
@@ -262,7 +262,7 @@ def test_criterion_6_regularized_monotonicity(noisy_runs):
 
 
 def test_criterion_7_property_suites(w40):
-    _, w = w40
+    g40, w = w40
     failures = []
 
     # Haar orthogonality / cross-orthogonality / perfect reconstruction
@@ -283,7 +283,7 @@ def test_criterion_7_property_suites(w40):
     # Galerkin identity on (40,40,100)
     rng = np.random.default_rng(17)
     for lam in (0.0, 1.0, 10.0):
-        h = build_wmg_hierarchy(w, 40, lam, 2)
+        h = build_wmg_hierarchy(w, g40, lam, 2)
         grids = build_intergrid_set(40)
         for band in BAND_IDS:
             node = h.root.children[band]
@@ -302,7 +302,7 @@ def test_criterion_7_property_suites(w40):
     lam = 1.0
     a16 = (w16.T @ w16).toarray() + lam * np.eye(256)
     g_err = dense_wtg_operator(w16, 16, lam)
-    h16 = build_wmg_hierarchy(w16, 16, lam, 2)
+    h16 = build_wmg_hierarchy(w16, g16, lam, 2)
     r = rng.standard_normal(256)
     expected = (np.eye(256) - g_err) @ np.linalg.solve(a16, r)
     got = wtg_apply(h16.root, r)
@@ -336,7 +336,7 @@ def test_criterion_7_property_suites(w40):
     for n in sizes:
         gg = build_geometry(n, 32, 96)
         ww = build_projector(gg)
-        m = wmg_preconditioner(build_wmg_hierarchy(ww, n, 1.0, 3))
+        m = wmg_preconditioner(build_wmg_hierarchy(ww, gg, 1.0, 3))
         v = rng.standard_normal(n * n)
         m(v)  # warm up
         cycles[n] = (m, v)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wmgtomo import cli
 from wmgtomo.cli import (EXIT_ARG_ERROR, EXIT_NUMERICAL_ERROR, FORMAT_VERSION,
                          MAGIC, CliError, main, read_grid, write_grid,
                          write_pgm)
@@ -14,6 +15,10 @@ from wmgtomo.phantom import shepp_logan
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def _no_projector(g):
+    pytest.fail("the projector was built for arguments that must be refused")
 
 
 class TestGridFormat:
@@ -322,6 +327,20 @@ class TestReconstructCommand:
         assert code == EXIT_ARG_ERROR
         assert not out.exists()
 
+    @pytest.mark.parametrize("levels", [0, 1, -2, 6])
+    def test_invalid_levels_rejected_before_projecting(
+            self, small_problem, monkeypatch, levels):
+        # 16 is not divisible by 2^(6-1); 0 used to run 3 levels
+        _, sino, tmp = small_problem
+        monkeypatch.setattr(cli, "build_projector", _no_projector)
+        out = tmp / "x.bin"
+        code = run("reconstruct", "--sino", sino, "--n", 16, "--angles", 24,
+                   "--detectors", 24, "--solver", "wmg-bicgstab",
+                   "--levels", levels, "--iters", 5, "--out", out,
+                   "--log", tmp / "l")
+        assert code == EXIT_ARG_ERROR
+        assert not out.exists()
+
     def test_singular_coarse_problem_is_numerical_error(self, tmp_path):
         # a single axis-aligned angle leaves the oscillatory coarse Gram
         # matrices singular, which must surface as a numerical failure
@@ -408,6 +427,16 @@ class TestBenchCommand:
                                                "wmg-bicgstab"]
         manifest = (tmp_path / "table1.csv.manifest").read_text()
         assert "noise=0.0" in manifest
+
+    @pytest.mark.parametrize("n,levels", [(18, 3), (16, 1), (16, 0)])
+    def test_invalid_levels_rejected_before_any_run(self, tmp_path,
+                                                    monkeypatch, n, levels):
+        monkeypatch.setattr(cli, "build_projector", _no_projector)
+        outdir = tmp_path / "bench"
+        assert run("bench", "--table", "1", "--n", n, "--angles", 24,
+                   "--levels", levels, "--iters-scale", 0.02,
+                   "--outdir", outdir) == EXIT_ARG_ERROR
+        assert not outdir.exists()
 
     @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
     def test_bad_iters_scale_rejected(self, tmp_path, scale):

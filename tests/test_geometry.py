@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from wmgtomo.geometry import (Geometry, _line_entries, _snapped_trig, apply,
                               apply_transpose, build_geometry,
-                              build_projector)
+                              build_projector, mirror_rows)
 from wmgtomo.sparse_kernels import DimensionMismatchError
 
 
@@ -142,6 +142,47 @@ def test_projector_rows_are_chords_and_transpose_is_adjoint(
     y = rng.standard_normal(g.n_data)
     scale = np.abs(y) @ (abs(w) @ np.abs(x))
     assert abs(apply(w, x) @ y - x @ apply_transpose(w, y)) <= 1e-13 * scale
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(1, 10), n_detectors=st.integers(1, 12),
+       steps=st.integers(1, 12), data=st.data())
+def test_mirror_rows_pair_each_ray_with_its_x_mirror(n, n_detectors, steps,
+                                                     data):
+    # a subset of the equiangular grid k pi / steps, so that some angles
+    # lose their partner; angle k pairs with steps - k
+    keep = data.draw(st.lists(st.integers(0, steps - 1), min_size=1,
+                              unique=True).map(sorted))
+    g = Geometry(n, n_detectors, len(keep),
+                 angles=np.arange(steps)[keep] * (np.pi / steps))
+    w = build_projector(g)
+    single, half = mirror_rows(g)
+
+    position = {k: j for j, k in enumerate(keep)}
+    partner = {k: steps - k for k in keep
+               if 0 < k and 2 * k != steps and steps - k in position}
+    detectors = np.arange(n_detectors)
+
+    def rows(ks):
+        return np.array([position[k] * n_detectors + detectors
+                         for k in ks], dtype=np.int64).reshape(-1)
+
+    np.testing.assert_array_equal(
+        single, rows([k for k in keep if k not in partner]))
+    np.testing.assert_array_equal(
+        half, rows([k for k in keep if k in partner and k < partner[k]]))
+
+    # x-mirror of a column: (y, x) -> (y, n - 1 - x)
+    mirror = np.arange(g.n_image).reshape(n, n)[:, ::-1].ravel()
+    for r in half:
+        k, i = keep[r // n_detectors], r % n_detectors
+        twin = position[partner[k]] * n_detectors + i
+        ray, ray_twin = w[r], w[twin]
+        order = np.argsort(mirror[ray.indices])
+        np.testing.assert_array_equal(mirror[ray.indices][order],
+                                      ray_twin.indices)
+        np.testing.assert_allclose(ray.data[order], ray_twin.data,
+                                   rtol=0, atol=1e-12)
 
 
 class TestApply:

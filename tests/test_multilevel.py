@@ -5,10 +5,14 @@ from wmgtomo.multilevel import (BAND_IDS, WmgHierarchy,
                                 build_intergrid_set, build_wmg_hierarchy,
                                 haar_scaling_1d, haar_wavelet_1d,
                                 wmg_preconditioner, wtg_apply)
-from wmgtomo.geometry import build_geometry, build_projector
-from wmgtomo.solvers import SolverConfig, bicgstab_solve, normal_operator
+from wmgtomo.geometry import (Geometry, build_geometry, build_projector,
+                              mirror_rows)
+from wmgtomo.solvers import (SolverConfig, bicgstab_solve, dense_normal,
+                             normal_operator)
 from wmgtomo.spectral import dense_wtg_operator
-from wmgtomo.sparse_kernels import NotPositiveDefiniteError
+from wmgtomo.sparse_kernels import (DimensionMismatchError,
+                                    NotPositiveDefiniteError, cholesky_factor,
+                                    spgemm)
 
 
 class TestHaar1d:
@@ -63,8 +67,8 @@ class TestIntergridStructure:
 
 class TestHierarchy:
     def test_structure(self, w16):
-        _, w = w16
-        h = build_wmg_hierarchy(w, 16, 1.0, 3)
+        g, w = w16
+        h = build_wmg_hierarchy(w, g, 1.0, 3)
         assert isinstance(h, WmgHierarchy)
         root = h.root
         assert root.side == 16 and not root.is_coarsest
@@ -80,8 +84,8 @@ class TestHierarchy:
     def test_galerkin_identity(self, w40, lam):
         # Gram(W R^T) + lam I == R (W^T W + lam I) R^T exactly, because the
         # restrictions have orthonormal rows
-        _, w = w40
-        h = build_wmg_hierarchy(w, 40, lam, 2)
+        g, w = w40
+        h = build_wmg_hierarchy(w, g, lam, 2)
         grids = build_intergrid_set(40)
         rng = np.random.default_rng(11)
         for band in BAND_IDS:
@@ -94,8 +98,8 @@ class TestHierarchy:
 
     @pytest.mark.parametrize("lam", [0.0, 2.5])
     def test_apply_system_is_the_normal_operator(self, w16, lam):
-        _, w = w16
-        h = build_wmg_hierarchy(w, 16, lam, 3)
+        g, w = w16
+        h = build_wmg_hierarchy(w, g, lam, 3)
         rng = np.random.default_rng(5)
         for node in (h.root, h.root.children["HL"]):
             v = rng.standard_normal(node.dim)
@@ -103,15 +107,17 @@ class TestHierarchy:
                                   normal_operator(node.factor, lam)(v))
 
     def test_validation(self, w16):
-        _, w = w16
+        g, w = w16
         with pytest.raises(ValueError):
-            build_wmg_hierarchy(w, 16, 0.0, 1)
+            build_wmg_hierarchy(w, g, 0.0, 1)
         with pytest.raises(ValueError):
-            build_wmg_hierarchy(w, 16, -1.0, 2)
+            build_wmg_hierarchy(w, g, -1.0, 2)
         with pytest.raises(ValueError):
-            build_wmg_hierarchy(w, 16, np.nan, 2)
+            build_wmg_hierarchy(w, g, np.nan, 2)
         with pytest.raises(ValueError):
-            build_wmg_hierarchy(w, 16, 0.0, 6)  # 16 not divisible by 32
+            build_wmg_hierarchy(w, g, 0.0, 6)  # 16 not divisible by 32
+        with pytest.raises(DimensionMismatchError):
+            build_wmg_hierarchy(w, build_geometry(16, 24, 25), 0.0, 2)
 
     def test_singular_coarse_block_raises(self):
         # one axis-aligned angle: the projector annihilates all vertically
@@ -119,7 +125,60 @@ class TestHierarchy:
         g = build_geometry(4, 4, 1)
         w = build_projector(g)
         with pytest.raises(NotPositiveDefiniteError):
-            build_wmg_hierarchy(w, 4, 0.0, 2)
+            build_wmg_hierarchy(w, g, 0.0, 2)
+
+
+def coarse_pairs(h):
+    """(node, full-ray coarse factor) for every coarsest node of h."""
+    stack = [h.root]
+    while stack:
+        node = stack.pop()
+        for band, child in node.children.items():
+            if child.is_coarsest:
+                yield child, spgemm(node.factor, node.intergrid[band].T)
+            else:
+                stack.append(child)
+
+
+class TestMirroredCoarseGram:
+    """Coarsest Gram matrices read half the rays through the scan's
+    theta -> pi - theta mirror; dense_normal over all rays is the reference."""
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("levels", [2, 3])
+    @pytest.mark.parametrize("g", [
+        pytest.param(build_geometry(16, 24, 24), id="even-m"),
+        pytest.param(build_geometry(16, 16, 25), id="odd-m"),
+        # offsets on grid lines: the axis-aligned rays run along pixel
+        # boundaries, and they are self-paired (angle pi/2) or unpaired (0)
+        pytest.param(build_geometry(16, 17, 24), id="detector-parity"),
+        # k pi / 48 for k in {0, 2..19, 30..47}: 47 has no partner, so the
+        # rows read are not one range
+        pytest.param(Geometry(16, 16, 37, angles=np.r_[
+            0, 2:20, 30:48] * (np.pi / 48)), id="non-contiguous"),
+    ])
+    def test_matches_full_ray_gram(self, g, levels, lam):
+        assert mirror_rows(g)[1].size  # the mirrored path runs
+        h = build_wmg_hierarchy(build_projector(g), g, lam, levels)
+        nodes = 0
+        for node, p in coarse_pairs(h):
+            lower = node.coarse_solve.lower
+            ref = dense_normal(p, 0.0)
+            got = lower @ lower.T - lam * np.eye(node.dim)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+            nodes += 1
+        assert nodes == 4 ** (levels - 1)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_scan_without_pairs_is_bit_identical(self, levels, lam):
+        # no two of these angles sum to pi
+        g = Geometry(16, 16, 12, angles=np.linspace(0.05, 3.0, 12))
+        assert mirror_rows(g)[1].size == 0
+        h = build_wmg_hierarchy(build_projector(g), g, lam, levels)
+        for node, p in coarse_pairs(h):
+            want = cholesky_factor(dense_normal(p, lam)).lower
+            assert np.array_equal(node.coarse_solve.lower, want)
 
 
 def child_apply(h, band, v):
@@ -136,11 +195,11 @@ class TestWtgAgainstDenseOracle:
     densely assembled error-propagation operator."""
 
     def test_two_level_16(self, w16):
-        _, w = w16
+        g, w = w16
         lam = 1.0
         a = (w.T @ w).toarray() + lam * np.eye(256)
         g_err = dense_wtg_operator(w, 16, lam)
-        h = build_wmg_hierarchy(w, 16, lam, 2)
+        h = build_wmg_hierarchy(w, g, lam, 2)
         rng = np.random.default_rng(2)
         for _ in range(3):
             r = rng.standard_normal(256)
@@ -149,19 +208,19 @@ class TestWtgAgainstDenseOracle:
             assert np.abs(got - expected).max() <= 1e-9
 
     def test_dimension_check(self, w16):
-        _, w = w16
-        h = build_wmg_hierarchy(w, 16, 1.0, 2)
+        g, w = w16
+        h = build_wmg_hierarchy(w, g, 1.0, 2)
         with pytest.raises(Exception):
             wtg_apply(h.root, np.ones(7))
 
 
 class TestPreconditionedSolves:
     def test_wmg_accelerates_bicgstab(self, w16, phantom16):
-        _, w = w16
+        g, w = w16
         lam = 1.0
         op = normal_operator(w, lam)
         f = w.T @ (w @ phantom16)
-        h = build_wmg_hierarchy(w, 16, lam, 2)
+        h = build_wmg_hierarchy(w, g, lam, 2)
         cfg = SolverConfig(max_iterations=200, residual_tolerance=1e-10)
         _, rec_plain = bicgstab_solve(op, f, cfg=cfg)
         _, rec_wmg = bicgstab_solve(op, f, precond=wmg_preconditioner(h),

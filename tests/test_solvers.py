@@ -241,7 +241,7 @@ class TestBicgstabMatchesScipy:
         b = add_noise(w @ shepp_logan(n), 0.01, 11)
         f = w.T @ b
         op = normal_operator(w, 0.0)
-        precond = (wmg_preconditioner(build_wmg_hierarchy(w, n, 0.0, 2))
+        precond = (wmg_preconditioner(build_wmg_hierarchy(w, g, 0.0, 2))
                    if preconditioned else None)
 
         theirs = []
