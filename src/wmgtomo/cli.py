@@ -39,19 +39,14 @@ FORMAT_VERSION = 1
 EXIT_ARG_ERROR = 2
 EXIT_NUMERICAL_ERROR = 3
 
-# Reference error levels for the bench pass/fail columns: solver ->
-# (iterations, relative L2 error); the acceptance window is +-30% relative.
+# The bench tables' reference runs: solver -> (iterations, relative L2
+# error, lambda); the pass/fail window is +-30% of the reference error.
 TABLE_TARGETS = {
-    "1": {"sirt": (1000, 0.1015), "bicgstab": (300, 0.0166),
-          "wmg-bicgstab": (50, 0.0152)},
-    "2": {"bicgstab": (300, 0.0180), "wmg-bicgstab": (50, 0.0165)},
-    "3": {"sirt": (1000, 0.1385), "bicgstab": (100, 0.1074),
-          "wmg-bicgstab": (14, 0.1083)},
-}
-TABLE_LAMBDAS = {
-    "1": {"sirt": 0.0, "bicgstab": 0.0, "wmg-bicgstab": 0.0},
-    "2": {"bicgstab": 0.4, "wmg-bicgstab": 0.4},
-    "3": {"sirt": 0.001, "bicgstab": 10.0, "wmg-bicgstab": 10.0},
+    "1": {"sirt": (1000, 0.1015, 0.0), "bicgstab": (300, 0.0166, 0.0),
+          "wmg-bicgstab": (50, 0.0152, 0.0)},
+    "2": {"bicgstab": (300, 0.0180, 0.4), "wmg-bicgstab": (50, 0.0165, 0.4)},
+    "3": {"sirt": (1000, 0.1385, 0.001), "bicgstab": (100, 0.1074, 10.0),
+          "wmg-bicgstab": (14, 0.1083, 10.0)},
 }
 DEFAULT_BENCH_SEED = 11
 
@@ -235,7 +230,8 @@ def cmd_spectrum(args) -> int:
     check_nonneg(args.modes, "--modes")
     if args.modes and args.operator != "sirt-s":
         raise CliError("--modes requires --operator sirt-s")
-    g = build_geometry(args.n, args.detectors or args.n, args.angles)
+    g = build_geometry(args.n, args.n if args.detectors is None
+                       else args.detectors, args.angles)
     w = build_projector(g)
     modes = None
     if args.operator == "sirt-s":
@@ -259,8 +255,7 @@ def cmd_spectrum(args) -> int:
                 vec = -vec
             write_pgm(f"{args.modes_prefix}{j:03d}.pgm", vec, args.n, args.n)
     manifest = _base_manifest("spectrum")
-    manifest.update(n=args.n, angles=args.angles,
-                    detectors=args.detectors or args.n,
+    manifest.update(n=args.n, angles=args.angles, detectors=g.n_detectors,
                     operator=args.operator,
                     regularization_lambda=args.regularization)
     if spec.condition_number is not None:
@@ -276,10 +271,11 @@ def cmd_bench(args) -> int:
                        f"{args.iters_scale}")
     check_levels(args.n, args.levels)  # every table has a wmg-bicgstab row
     table = args.table
+    n = args.n
+    g = build_geometry(n, n if args.detectors is None else args.detectors,
+                       args.angles)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    n = args.n
-    g = build_geometry(n, args.detectors or n, args.angles)
     w = build_projector(g)
     x_ex = shepp_logan(n)
     b = w @ x_ex
@@ -288,8 +284,7 @@ def cmd_bench(args) -> int:
         b = add_noise(b, noise, args.seed)
 
     rows = []
-    for solver, (iters, target_l2) in TABLE_TARGETS[table].items():
-        lam = TABLE_LAMBDAS[table][solver]
+    for solver, (iters, target_l2, lam) in TABLE_TARGETS[table].items():
         budget = max(1, int(round(iters * args.iters_scale)))
         cfg = SolverConfig(max_iterations=budget, regularization_lambda=lam)
         t0 = time.perf_counter()
@@ -309,7 +304,7 @@ def cmd_bench(args) -> int:
         writer.writerows(rows)
     manifest = _base_manifest("bench")
     manifest.update(table=table, n=n, angles=args.angles,
-                    detectors=args.detectors or n, levels=args.levels,
+                    detectors=g.n_detectors, levels=args.levels,
                     iters_scale=args.iters_scale, noise=noise)
     if noise:
         manifest.update(seed=args.seed, rng="PCG64")

@@ -64,16 +64,17 @@ def build_geometry(n: int, n_detectors: int, n_angles: int) -> Geometry:
                     n_angles=n_angles, angles=angles)
 
 
-def mirror_rows(g: Geometry) -> tuple[np.ndarray, np.ndarray]:
-    """W's rows split by the mirror theta -> pi - theta: (single, half).
+def mirror_rows(g: Geometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """W's rows split by the mirror theta -> pi - theta: (single, half, twin).
 
     With centred detectors, the ray at angle pi - theta and detector i is
     the x-mirror of the ray at theta and detector i. Angles a < b pair when
     |a + b - pi| <= 1e-12; `half` (A) holds the rows of the smaller angle of
-    each pair, and `single` (S) the rows of every angle without a distinct
-    partner. Then W^T W = H_S + H_A + F H_A F, with H_X the Gram matrix over
-    the rows X and F the x-flip of the image. Both are sorted; `half` is
-    empty when no angle pairs.
+    each pair, `twin` the row of each one's mirror ray, and `single` (S) the
+    rows of every angle without a distinct partner. Then W^T W = H_S + H_A +
+    F H_A F, with H_X the Gram matrix over the rows X and F the x-flip of
+    the image. `single` and `half` are sorted; `half` is empty when no angle
+    pairs.
     """
     a = g.angles
     k = np.arange(g.n_angles)
@@ -86,8 +87,9 @@ def mirror_rows(g: Geometry) -> tuple[np.ndarray, np.ndarray]:
     def rows(angles):
         return (angles[:, None] * g.n_detectors + detectors).ravel()
 
-    return (rows(np.flatnonzero(~paired)),
-            rows(np.flatnonzero(paired & (k < near))))
+    first = paired & (k < near)
+    return (rows(np.flatnonzero(~paired)), rows(np.flatnonzero(first)),
+            rows(near[first]))
 
 
 def _snapped_trig(theta: float) -> tuple[float, float]:

@@ -4,9 +4,10 @@ The fine normal-equations operator A = W^T W + lambda*I is never formed.
 Every hierarchy node stores only its tall-and-skinny factor P (the fine
 projector times accumulated interpolations), so its Galerkin operator is
 exactly Gram(P) + lambda*I; the orthonormal-row Haar restrictions make the
-regularization term pass through coarsening unchanged. Coarsest-level
-subproblems are assembled densely, from the rays the scan's mirror symmetry
-leaves (half of them), and Cholesky-factored once at build time.
+regularization term pass through coarsening unchanged. Every coarsest
+subproblem is assembled densely by one formula, H_S + H_A + F H_A F, from
+the rays the scan's mirror symmetry leaves (all of them when no angles
+pair), and Cholesky-factored once at build time.
 
 Subspace naming: images are row-major array[row, col] with row = y and
 col = x (see geometry module). A band name is (x-band, y-band), so LH means
@@ -24,7 +25,8 @@ import scipy.sparse as sp
 
 from .geometry import Geometry, mirror_rows
 from .sparse_kernels import (DenseFactorization, DimensionMismatchError,
-                             NotPositiveDefiniteError, cholesky_factor, spgemm)
+                             NotPositiveDefiniteError, cholesky_factor,
+                             seeded_uniform, spgemm)
 from .solvers import check_nonneg, dense_normal, normal_operator
 
 BAND_IDS = ("LL", "LH", "HL", "HH")
@@ -109,11 +111,9 @@ class WmgHierarchy:
 
 def _row_block(p: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
     """p[rows] for sorted rows; a view of p's arrays when they are one range."""
-    lo, hi = int(rows[0]), int(rows[-1]) + 1
+    lo, hi = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
     if hi - lo != rows.size:
         return p[rows]
-    if (lo, hi) == (0, p.shape[0]):
-        return p
     start, stop = p.indptr[lo], p.indptr[hi]
     return sp.csr_matrix((p.data[start:stop], p.indices[start:stop],
                           p.indptr[lo:hi + 1] - start),
@@ -127,11 +127,9 @@ def _coarse_gram(p: sp.csr_matrix, r_t: sp.csr_matrix, side: int,
     Only p's S and A rows are multiplied (geometry.mirror_rows): the Gram
     is H_S + H_A + F H_A F, where F reverses x in the side-by-side image.
     Every Haar band is even or odd under F, so the sign of P_b's mirrored
-    rows cancels in the Gram matrix.
+    rows cancels in the Gram matrix. A scan without pairs has A empty.
     """
     single, half = mirror
-    if not half.size:
-        return dense_normal(spgemm(p, r_t), lam)
     rows = np.union1d(single, half)
     c = spgemm(_row_block(p, rows), r_t)
     g = dense_normal(_row_block(c, np.searchsorted(rows, half)), 0.0)
@@ -139,10 +137,9 @@ def _coarse_gram(p: sp.csr_matrix, r_t: sp.csr_matrix, side: int,
     # x axis of both indices
     quad = g.reshape(side, side, side, side)
     quad += quad[:, ::-1, :, ::-1]
-    if single.size:
-        c_s = c[np.searchsorted(rows, single)]
-        h_s = (c_s.T @ c_s).tocoo()
-        g[h_s.row, h_s.col] += h_s.data
+    c_s = _row_block(c, np.searchsorted(rows, single))
+    h_s = (c_s.T @ c_s).tocoo()
+    g[h_s.row, h_s.col] += h_s.data
     if lam != 0:
         g[np.diag_indices_from(g)] += lam
     return g
@@ -192,7 +189,8 @@ def build_wmg_hierarchy(w: sp.spmatrix, g: Geometry, lam: float,
     """Recursive 4-way splitting of W into tall-and-skinny coarse factors.
 
     `g` is the scan W was built from; its mirror symmetry halves the rows
-    each coarsest Gram matrix reads.
+    each coarsest Gram matrix reads. One seeded probe v checks that W has
+    it: (W v)[twin] must equal (W F v)[half], F the x-flip of the image.
     """
     n = g.n_pixels_per_side
     check_levels(n, levels)
@@ -202,7 +200,15 @@ def build_wmg_hierarchy(w: sp.spmatrix, g: Geometry, lam: float,
         raise DimensionMismatchError(
             f"projector is {w.shape[0]}x{w.shape[1]}, expected "
             f"{g.n_data}x{g.n_image}")
-    root = _build_node(w, n, 1, levels, lam, "", mirror_rows(g))
+    single, half, twin = mirror_rows(g)
+    v = seeded_uniform(g.n_image, 0)
+    wv, wfv = w @ v, w @ v.reshape(n, n)[:, ::-1].ravel()
+    gap = np.abs(wv[twin] - wfv[half]).max(initial=0.0)
+    if gap > 1e-9 * np.abs(wfv).max(initial=0.0):
+        raise DimensionMismatchError(
+            f"projector rows do not mirror as the scan's angles say "
+            f"(probe gap {gap:.3g}); was it built from this geometry?")
+    root = _build_node(w, n, 1, levels, lam, "", (single, half))
     return WmgHierarchy(levels=levels, lam=lam, root=root)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -71,14 +72,10 @@ class ConvergenceRecord:
         self.rel_err_linf.append(None if errinf is None else float(errinf))
         self.seconds.append(float(secs))
 
-    @property
-    def has_errors(self) -> bool:
-        return all(e is not None for e in self.rel_err_l2) and bool(self.rel_err_l2)
-
 
 def find_kopt(record: ConvergenceRecord) -> int:
     """First iteration index attaining the minimum relative L2 error."""
-    if not record.has_errors:
+    if not record.rel_err_l2 or None in record.rel_err_l2:
         raise ValueError("record has no error data; solve with x_ex provided")
     errs = np.asarray(record.rel_err_l2, dtype=np.float64)
     return int(record.iterations[int(np.argmin(errs))])
@@ -102,10 +99,21 @@ def sirt_scaling(w: sp.spmatrix) -> SirtScaling:
     return SirtScaling(c=c, r=r)
 
 
-def _errors(x, x_ex):
-    if x_ex is None:
-        return None, None
-    return error_metrics(x, x_ex)
+def _stop(record: ConvergenceRecord, tol: float, x_ex, t0: float,
+          res_norm0: float, k: int, x: np.ndarray, r: np.ndarray,
+          solved: bool = False) -> bool:
+    """Both solvers' stop rule: log iterate k (residual r) and say whether
+    the run stops there, as non-finite for a NaN or infinite relative
+    residual (initial norm at k = 0), or as converged for a zero initial
+    residual, one below a positive tolerance, or a system found `solved`."""
+    rel = np.linalg.norm(r) / res_norm0 if k else 1.0
+    err2, errinf = (None, None) if x_ex is None else error_metrics(x, x_ex)
+    record.log(k, rel, err2, errinf, time.perf_counter() - t0)
+    if not np.isfinite(rel if k else res_norm0):
+        record.status = STATUS_NON_FINITE
+    elif res_norm0 == 0.0 or solved or (k and 0 < tol and rel < tol):
+        record.status = STATUS_CONVERGED
+    return record.status != STATUS_MAX_ITERATIONS
 
 
 def sirt_solve(w: sp.spmatrix, b: np.ndarray, x0: np.ndarray,
@@ -129,14 +137,9 @@ def sirt_solve(w: sp.spmatrix, b: np.ndarray, x0: np.ndarray,
     record = ConvergenceRecord()
     t0 = time.perf_counter()
     res = b - w @ x
-    res_norm0 = np.linalg.norm(res)
-    err2, errinf = _errors(x, x_ex)
-    record.log(0, 1.0, err2, errinf, time.perf_counter() - t0)
-    if not np.isfinite(res_norm0):
-        record.status = STATUS_NON_FINITE
-        return x, record
-    if res_norm0 == 0.0:
-        record.status = STATUS_CONVERGED
+    stop = partial(_stop, record, cfg.residual_tolerance, x_ex, t0,
+                   np.linalg.norm(res))
+    if stop(0, x, res):
         return x, record
 
     for k in range(1, cfg.max_iterations + 1):
@@ -145,16 +148,8 @@ def sirt_solve(w: sp.spmatrix, b: np.ndarray, x0: np.ndarray,
             update -= lam * (scaling.c * x)
         x += update
         res = b - w @ x
-        rel = np.linalg.norm(res) / res_norm0
-        err2, errinf = _errors(x, x_ex)
-        record.log(k, rel, err2, errinf, time.perf_counter() - t0)
-        if not np.isfinite(rel):
-            record.status = STATUS_NON_FINITE
-            return x, record
-        if cfg.residual_tolerance > 0 and rel < cfg.residual_tolerance:
-            record.status = STATUS_CONVERGED
-            return x, record
-    record.status = STATUS_MAX_ITERATIONS
+        if stop(k, x, res):
+            break
     return x, record
 
 
@@ -217,13 +212,8 @@ def bicgstab_solve(op: Callable[[np.ndarray], np.ndarray], f: np.ndarray,
     t0 = time.perf_counter()
     r = f - op(x)
     res_norm0 = np.linalg.norm(r)
-    err2, errinf = _errors(x, x_ex)
-    record.log(0, 1.0, err2, errinf, time.perf_counter() - t0)
-    if not np.isfinite(res_norm0):
-        record.status = STATUS_NON_FINITE
-        return x, record
-    if res_norm0 == 0.0:
-        record.status = STATUS_CONVERGED
+    stop = partial(_stop, record, cfg.residual_tolerance, x_ex, t0, res_norm0)
+    if stop(0, x, r):
         return x, record
 
     r_hat = r.copy()
@@ -262,28 +252,15 @@ def bicgstab_solve(op: Callable[[np.ndarray], np.ndarray], f: np.ndarray,
         if tt < BREAKDOWN_REL_TOL ** 2 * res_norm0 ** 2:
             # s is already (numerically) the solved residual
             x = x + alpha * p_hat
-            r = s
-            rel = np.linalg.norm(r) / res_norm0
-            err2, errinf = _errors(x, x_ex)
-            record.log(k, rel, err2, errinf, time.perf_counter() - t0)
-            record.status = STATUS_CONVERGED
+            stop(k, x, s, solved=True)
             return x, record
         omega = float(t @ s) / tt
         x = x + alpha * p_hat + omega * s_hat
         r = s - omega * t
         rho_prev = rho
-
-        rel = np.linalg.norm(r) / res_norm0
-        err2, errinf = _errors(x, x_ex)
-        record.log(k, rel, err2, errinf, time.perf_counter() - t0)
-        if not np.isfinite(rel):
-            record.status = STATUS_NON_FINITE
-            return x, record
-        if cfg.residual_tolerance > 0 and rel < cfg.residual_tolerance:
-            record.status = STATUS_CONVERGED
+        if stop(k, x, r):
             return x, record
         if abs(omega) < BREAKDOWN_REL_TOL:
             record.status = STATUS_BREAKDOWN
             return x, record
-    record.status = STATUS_MAX_ITERATIONS
     return x, record

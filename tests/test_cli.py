@@ -229,6 +229,21 @@ def test_removed_wtg_flag_refused(small_problem, command, options):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,options", [
+    pytest.param("spectrum", ("--operator", "normal", "--out", "spec.csv"),
+                 id="spectrum"),
+    pytest.param("bench", ("--table", "1", "--levels", 2, "--iters-scale",
+                           0.02, "--outdir", "bench"), id="bench"),
+])
+def test_zero_detectors_rejected(tmp_path, monkeypatch, command, options):
+    # 0 is not "unset": it reaches build_geometry instead of becoming --n
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "build_projector", _no_projector)
+    assert run(command, "--n", 8, "--angles", 6, "--detectors", 0,
+               *options) == EXIT_ARG_ERROR
+    assert not list(tmp_path.iterdir())
+
+
 class TestReconstructCommand:
     def test_sirt_reconstruction_with_log(self, small_problem):
         ph, sino, tmp = small_problem
@@ -273,6 +288,19 @@ class TestReconstructCommand:
         with open(log) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1 and rows[0]["rel_err_l2"] == ""
+
+    @pytest.mark.parametrize("solver", ["sirt", "bicgstab", "wmg-bicgstab"])
+    def test_tolerance_stops_converged(self, small_problem, solver):
+        _, sino, tmp = small_problem
+        out, log = tmp / "x.bin", tmp / "conv.csv"
+        assert run("reconstruct", "--sino", sino, "--n", 16, "--angles", 24,
+                   "--detectors", 24, "--solver", solver, "--iters", 100,
+                   "--tol", 0.05, "--out", out, "--log", log) == 0
+        assert read_manifest(out)["status"] == "converged"
+        with open(log) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) < 101
+        assert float(rows[-1]["rel_res"]) < 0.05
 
     def test_sinogram_shape_mismatch_rejected(self, small_problem):
         _, sino, tmp = small_problem
@@ -436,6 +464,12 @@ class TestBenchCommand:
         assert run("bench", "--table", "1", "--n", n, "--angles", 24,
                    "--levels", levels, "--iters-scale", 0.02,
                    "--outdir", outdir) == EXIT_ARG_ERROR
+        assert not outdir.exists()
+
+    def test_zero_angles_rejected_before_outdir(self, tmp_path):
+        outdir = tmp_path / "bench"
+        assert run("bench", "--table", "1", "--n", 16, "--angles", 0,
+                   "--levels", 2, "--outdir", outdir) == EXIT_ARG_ERROR
         assert not outdir.exists()
 
     @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])

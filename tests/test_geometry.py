@@ -156,7 +156,7 @@ def test_mirror_rows_pair_each_ray_with_its_x_mirror(n, n_detectors, steps,
     g = Geometry(n, n_detectors, len(keep),
                  angles=np.arange(steps)[keep] * (np.pi / steps))
     w = build_projector(g)
-    single, half = mirror_rows(g)
+    single, half, twin = mirror_rows(g)
 
     position = {k: j for j, k in enumerate(keep)}
     partner = {k: steps - k for k in keep
@@ -174,10 +174,11 @@ def test_mirror_rows_pair_each_ray_with_its_x_mirror(n, n_detectors, steps,
 
     # x-mirror of a column: (y, x) -> (y, n - 1 - x)
     mirror = np.arange(g.n_image).reshape(n, n)[:, ::-1].ravel()
-    for r in half:
+    assert twin.shape == half.shape
+    for r, t in zip(half, twin):
         k, i = keep[r // n_detectors], r % n_detectors
-        twin = position[partner[k]] * n_detectors + i
-        ray, ray_twin = w[r], w[twin]
+        assert t == position[partner[k]] * n_detectors + i
+        ray, ray_twin = w[r], w[t]
         order = np.argsort(mirror[ray.indices])
         np.testing.assert_array_equal(mirror[ray.indices][order],
                                       ray_twin.indices)

@@ -118,6 +118,10 @@ class TestHierarchy:
             build_wmg_hierarchy(w, g, 0.0, 6)  # 16 not divisible by 32
         with pytest.raises(DimensionMismatchError):
             build_wmg_hierarchy(w, build_geometry(16, 24, 25), 0.0, 2)
+        # right shape, wrong angles: the rows do not mirror as g says
+        other = Geometry(16, 24, 24, angles=np.linspace(0.05, 3.0, 24))
+        with pytest.raises(DimensionMismatchError, match="mirror"):
+            build_wmg_hierarchy(build_projector(other), g, 0.0, 2)
 
     def test_singular_coarse_block_raises(self):
         # one axis-aligned angle: the projector annihilates all vertically
