@@ -15,7 +15,7 @@ pixel it crosses (grid-line traversal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,24 +25,22 @@ from .sparse_kernels import DimensionMismatchError
 
 @dataclass(frozen=True)
 class Geometry:
-    """Parallel-beam scan description: n-by-n grid, m angles, rays per angle."""
+    """Equiangular parallel-beam scan: n-by-n grid, angle k = 0..m-1 at
+    k pi / m, n_detectors rays per angle. Three integers, so it compares
+    and hashes by value."""
 
     n_pixels_per_side: int
     n_detectors: int
     n_angles: int
-    angles: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         if self.n_pixels_per_side < 1 or self.n_detectors < 1 or self.n_angles < 1:
             raise ValueError("geometry dimensions must be positive")
-        a = np.asarray(self.angles, dtype=np.float64)
-        if a.shape != (self.n_angles,):
-            raise ValueError("angles length must equal n_angles")
-        if np.any(a < 0.0) or np.any(a >= np.pi):
-            raise ValueError("angles must lie in [0, pi)")
-        if np.any(np.diff(a) <= 0.0):
-            raise ValueError("angles must be strictly increasing")
-        object.__setattr__(self, "angles", a)
+
+    @property
+    def angles(self) -> np.ndarray:
+        """The m projection angles k pi / m, in increasing order."""
+        return np.arange(self.n_angles) * (np.pi / self.n_angles)
 
     @property
     def n_image(self) -> int:
@@ -57,39 +55,26 @@ class Geometry:
 
 def build_geometry(n: int, n_detectors: int, n_angles: int) -> Geometry:
     """Equiangular geometry over the half-turn [0, pi)."""
-    if n < 1 or n_detectors < 1 or n_angles < 1:
-        raise ValueError("all geometry arguments must be >= 1")
-    angles = np.arange(n_angles) * (np.pi / n_angles)
-    return Geometry(n_pixels_per_side=n, n_detectors=n_detectors,
-                    n_angles=n_angles, angles=angles)
+    return Geometry(n, n_detectors, n_angles)
 
 
 def mirror_rows(g: Geometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """W's rows split by the mirror theta -> pi - theta: (single, half, twin).
 
     With centred detectors, the ray at angle pi - theta and detector i is
-    the x-mirror of the ray at theta and detector i. Angles a < b pair when
-    |a + b - pi| <= 1e-12; `half` (A) holds the rows of the smaller angle of
-    each pair, `twin` the row of each one's mirror ray, and `single` (S) the
-    rows of every angle without a distinct partner. Then W^T W = H_S + H_A +
-    F H_A F, with H_X the Gram matrix over the rows X and F the x-flip of
-    the image. `single` and `half` are sorted; `half` is empty when no angle
-    pairs.
+    the x-mirror of the ray at theta and detector i, so angle k pairs with
+    angle m - k. `half` (A) holds the rows of the angles 0 < k < m/2,
+    `twin` the row of each one's mirror ray, and `single` (S) the rows of
+    angle 0 and, for even m, of the self-paired angle m/2. Then W^T W =
+    H_S + H_A + F H_A F, with H_X the Gram matrix over the rows X and F the
+    x-flip of the image. S and A together are W's first (m//2 + 1) angles;
+    `half` is empty when m <= 2.
     """
-    a = g.angles
-    k = np.arange(g.n_angles)
-    # the first angle within the tolerance of pi - a; a pair must be mutual
-    near = np.minimum(np.searchsorted(a, np.pi - a - 1e-12), g.n_angles - 1)
-    paired = ((np.abs(a + a[near] - np.pi) <= 1e-12) & (near != k)
-              & (near[near] == k))
-    detectors = np.arange(g.n_detectors)
-
-    def rows(angles):
-        return (angles[:, None] * g.n_detectors + detectors).ravel()
-
-    first = paired & (k < near)
-    return (rows(np.flatnonzero(~paired)), rows(np.flatnonzero(first)),
-            rows(near[first]))
+    m, d = g.n_angles, g.n_detectors
+    single = np.array([0, m // 2] if m % 2 == 0 else [0])
+    paired = np.arange(1, (m + 1) // 2)
+    return tuple(np.add.outer(k * d, np.arange(d)).ravel()
+                 for k in (single, paired, m - paired))
 
 
 def _snapped_trig(theta: float) -> tuple[float, float]:

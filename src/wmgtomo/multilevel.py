@@ -124,20 +124,19 @@ def _coarse_gram(p: sp.csr_matrix, r_t: sp.csr_matrix, side: int,
                  lam: float, mirror: tuple) -> np.ndarray:
     """Dense P_b^T P_b + lambda I of the coarsest factor P_b = p r_t.
 
-    Only p's S and A rows are multiplied (geometry.mirror_rows): the Gram
-    is H_S + H_A + F H_A F, where F reverses x in the side-by-side image.
-    Every Haar band is even or odd under F, so the sign of P_b's mirrored
-    rows cancels in the Gram matrix. A scan without pairs has A empty.
+    Only p's leading rows, S and A (geometry.mirror_rows), are multiplied:
+    the Gram is H_S + H_A + F H_A F, F the x-reversal of the side-by-side
+    image. Every Haar band is even or odd under F, so the sign of P_b's
+    mirrored rows cancels in the Gram matrix. Without pairs A is empty.
     """
     single, half = mirror
-    rows = np.union1d(single, half)
-    c = spgemm(_row_block(p, rows), r_t)
-    g = dense_normal(_row_block(c, np.searchsorted(rows, half)), 0.0)
+    c = spgemm(_row_block(p, np.arange(single.size + half.size)), r_t)
+    g = dense_normal(_row_block(c, half), 0.0)
     # an image index is (y, x), so (F H F)[i, j] = H[F i, F j] reverses the
     # x axis of both indices
     quad = g.reshape(side, side, side, side)
     quad += quad[:, ::-1, :, ::-1]
-    c_s = _row_block(c, np.searchsorted(rows, single))
+    c_s = _row_block(c, single)
     h_s = (c_s.T @ c_s).tocoo()
     g[h_s.row, h_s.col] += h_s.data
     if lam != 0:

@@ -111,7 +111,7 @@ def _stop(record: ConvergenceRecord, tol: float, x_ex, t0: float,
     record.log(k, rel, err2, errinf, time.perf_counter() - t0)
     if not np.isfinite(rel if k else res_norm0):
         record.status = STATUS_NON_FINITE
-    elif res_norm0 == 0.0 or solved or (k and 0 < tol and rel < tol):
+    elif res_norm0 == 0.0 or solved or rel < tol:
         record.status = STATUS_CONVERGED
     return record.status != STATUS_MAX_ITERATIONS
 

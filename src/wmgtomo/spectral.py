@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .multilevel import BAND_IDS, build_intergrid_set
+from .multilevel import build_intergrid_set
 from .solvers import check_dense_dim, dense_normal, sirt_scaling
 
 
@@ -67,11 +67,10 @@ def sirt_spectrum(w: sp.spmatrix, with_eigenvectors: bool = False) -> Spectrum:
     return Spectrum(eigenvalues=vals, label="sirt-S", eigenvectors=vecs)
 
 
-def _dense_band_correction(a: np.ndarray, r_band: np.ndarray) -> np.ndarray:
-    """I - R^T (R A R^T)^{-1} R A for one restriction band."""
-    coarse = r_band @ a @ r_band.T
-    correction = r_band.T @ np.linalg.solve(coarse, r_band @ a)
-    return np.eye(a.shape[0]) - correction
+def _coarse_correction(a: np.ndarray, r: sp.spmatrix) -> np.ndarray:
+    """R^T (R A R^T)^{-1} R A, the exact coarse correction of one band."""
+    r = r.toarray()
+    return r.T @ np.linalg.solve(r @ a @ r.T, r @ a)
 
 
 def dense_tg_operator(w: sp.spmatrix, n: int, lam: float = 0.0) -> np.ndarray:
@@ -82,8 +81,8 @@ def dense_tg_operator(w: sp.spmatrix, n: int, lam: float = 0.0) -> np.ndarray:
     solver runs this cycle."""
     a = dense_normal(w, lam)
     s = _dense_sirt_iteration_matrix(w, lam)
-    r_ll = build_intergrid_set(n)["LL"].toarray()
-    return s @ _dense_band_correction(a, r_ll) @ s
+    x_ll = _coarse_correction(a, build_intergrid_set(n)["LL"])
+    return s @ (np.eye(a.shape[0]) - x_ll) @ s
 
 
 def dense_wtg_operator(w: sp.spmatrix, n: int, lam: float = 0.0) -> np.ndarray:
@@ -92,15 +91,10 @@ def dense_wtg_operator(w: sp.spmatrix, n: int, lam: float = 0.0) -> np.ndarray:
     oscillatory-band corrections added from one refreshed residual."""
     a = dense_normal(w, lam)
     grids = build_intergrid_set(n)
-    dense_r = {band: grids[band].toarray() for band in BAND_IDS}
-    ll = _dense_band_correction(a, dense_r["LL"])
-    # e += sum_id R^T A_id^{-1} R r' with a single refreshed residual
-    accum = np.zeros_like(a)
-    for band in ("LH", "HL", "HH"):
-        r_band = dense_r[band]
-        coarse = r_band @ a @ r_band.T
-        accum += r_band.T @ np.linalg.solve(coarse, r_band @ a)
-    return (np.eye(a.shape[0]) - accum) @ ll
+    eye = np.eye(a.shape[0])
+    # e += sum_b R_b^T A_b^{-1} R_b r' with a single refreshed residual
+    bands = sum(_coarse_correction(a, grids[b]) for b in ("LH", "HL", "HH"))
+    return (eye - bands) @ (eye - _coarse_correction(a, grids["LL"]))
 
 
 def preconditioned_spectrum(w: sp.spmatrix, n: int, lam: float,

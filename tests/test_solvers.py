@@ -130,6 +130,15 @@ class TestStopRule:
         assert rec.status == STATUS_NON_FINITE
         assert rec.iterations == [0]
 
+    def test_tolerance_above_one_stops_at_iterate_zero(self, w16, phantom16,
+                                                        solver):
+        # iterate 0 has relative residual 1.0, already below the tolerance
+        _, w = w16
+        cfg = SolverConfig(max_iterations=10, residual_tolerance=2.0)
+        _, rec = _solve(solver, w, w @ phantom16, cfg)
+        assert rec.status == STATUS_CONVERGED
+        assert rec.iterations == [0]
+
     def test_tolerance_converges(self, w16, phantom16, solver):
         _, w = w16
         cfg = SolverConfig(max_iterations=500, residual_tolerance=0.5)
