@@ -26,7 +26,7 @@ from . import __version__
 from .geometry import build_geometry, build_projector
 from .multilevel import (build_wmg_hierarchy, check_levels,
                          wmg_preconditioner)
-from .phantom import add_noise, error_metrics, shepp_logan
+from .phantom import add_noise, shepp_logan
 from .solvers import (STATUS_NON_FINITE, ConvergenceRecord, SolverConfig,
                       bicgstab_solve, check_nonneg, normal_operator,
                       sirt_solve)
@@ -160,7 +160,7 @@ def cmd_project(args) -> int:
 
 def _run_solver(solver, w, g, b, cfg, x_ex, levels):
     if solver == "sirt":
-        return sirt_solve(w, b, np.zeros(g.n_image), cfg, x_ex=x_ex)
+        return sirt_solve(w, b, cfg, x_ex=x_ex)
     lam = cfg.regularization_lambda
     op = normal_operator(w, lam)
     f = w.T @ b
@@ -168,7 +168,7 @@ def _run_solver(solver, w, g, b, cfg, x_ex, levels):
     if solver == "wmg-bicgstab":
         h = build_wmg_hierarchy(w, g, lam, levels)
         precond = wmg_preconditioner(h)
-    return bicgstab_solve(op, f, precond=precond, cfg=cfg, x_ex=x_ex)
+    return bicgstab_solve(op, f, cfg, precond=precond, x_ex=x_ex)
 
 
 def cmd_reconstruct(args) -> int:
@@ -182,9 +182,8 @@ def cmd_reconstruct(args) -> int:
     levels = 3 if args.levels is None else args.levels
     if args.solver == "wmg-bicgstab":
         check_levels(args.n, levels)
-    # SolverConfig's checks, also for --iters 0, which builds no config
-    check_nonneg(args.tol, "--tol")
-    check_nonneg(args.regularization, "--lambda")
+    cfg = SolverConfig(max_iterations=args.iters, residual_tolerance=args.tol,
+                       regularization_lambda=args.regularization)
     x_ex = None
     if args.xexact:
         x_ex, xr, xc = read_grid(args.xexact)
@@ -192,24 +191,12 @@ def cmd_reconstruct(args) -> int:
             raise CliError("--xexact image does not match --n")
     g = build_geometry(args.n, args.detectors, args.angles)
     w = build_projector(g)
-
-    if args.iters == 0:
-        x = np.zeros(g.n_image)
-        record = ConvergenceRecord()
-        err2 = errinf = None
-        if x_ex is not None:
-            err2, errinf = error_metrics(x, x_ex)
-        record.log(0, 1.0, err2, errinf, 0.0)
-    else:
-        cfg = SolverConfig(max_iterations=args.iters,
-                           residual_tolerance=args.tol,
-                           regularization_lambda=args.regularization)
-        x, record = _run_solver(args.solver, w, g, b, cfg, x_ex, levels)
-        if record.status == STATUS_NON_FINITE:
-            print(f"numerical failure: {args.solver} stopped after iteration "
-                  f"{record.iterations[-1]} on a NaN or infinite residual "
-                  f"norm or scalar", file=sys.stderr)
-            return EXIT_NUMERICAL_ERROR
+    x, record = _run_solver(args.solver, w, g, b, cfg, x_ex, levels)
+    if record.status == STATUS_NON_FINITE:
+        print(f"numerical failure: {args.solver} stopped after iteration "
+              f"{record.iterations[-1]} on a NaN or infinite residual "
+              f"norm or scalar", file=sys.stderr)
+        return EXIT_NUMERICAL_ERROR
 
     write_grid(args.out, x, args.n, args.n)
     write_convergence_csv(args.log, record)
@@ -230,6 +217,9 @@ def cmd_spectrum(args) -> int:
     check_nonneg(args.modes, "--modes")
     if args.modes and args.operator != "sirt-s":
         raise CliError("--modes requires --operator sirt-s")
+    if args.modes > args.n ** 2:
+        raise CliError(f"--modes {args.modes} exceeds the {args.n ** 2} "
+                       f"eigenmodes of a {args.n}-by-{args.n} image")
     g = build_geometry(args.n, args.n if args.detectors is None
                        else args.detectors, args.angles)
     w = build_projector(g)
@@ -288,9 +278,9 @@ def cmd_bench(args) -> int:
         budget = max(1, int(round(iters * args.iters_scale)))
         cfg = SolverConfig(max_iterations=budget, regularization_lambda=lam)
         t0 = time.perf_counter()
-        x, record = _run_solver(solver, w, g, b, cfg, x_ex, args.levels)
+        _, record = _run_solver(solver, w, g, b, cfg, x_ex, args.levels)
         elapsed = time.perf_counter() - t0
-        rel_l2, rel_linf = error_metrics(x, x_ex)
+        rel_l2, rel_linf = record.rel_err_l2[-1], record.rel_err_linf[-1]
         low, high = 0.7 * target_l2, 1.3 * target_l2
         ok = "yes" if low <= rel_l2 <= high else "no"
         rows.append([solver, budget, f"{elapsed:.3f}", repr(rel_l2),

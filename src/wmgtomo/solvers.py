@@ -1,8 +1,8 @@
 """SIRT stationary iteration and right-preconditioned BiCGStab.
 
-Both solvers work on the (optionally Tikhonov-regularized) normal equations
-of the projection system and log per-iteration relative residuals, relative
-errors against a known exact image, and cumulative wall-clock time.
+Both solvers start from zero on the (optionally Tikhonov-regularized) normal
+equations of the projection system and log per-iteration relative residuals,
+relative errors against a known exact image, and cumulative wall-clock time.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ class SolverConfig:
     regularization_lambda: float = 0.0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if self.max_iterations < 0:
+            raise ValueError("max_iterations must be >= 0")
         check_nonneg(self.residual_tolerance, "tolerance")
         check_nonneg(self.regularization_lambda, "lambda")
 
@@ -116,8 +116,8 @@ def _stop(record: ConvergenceRecord, tol: float, x_ex, t0: float,
     return record.status != STATUS_MAX_ITERATIONS
 
 
-def sirt_solve(w: sp.spmatrix, b: np.ndarray, x0: np.ndarray,
-               cfg: SolverConfig, x_ex: Optional[np.ndarray] = None,
+def sirt_solve(w: sp.spmatrix, b: np.ndarray, cfg: SolverConfig,
+               x_ex: Optional[np.ndarray] = None,
                ) -> tuple[np.ndarray, ConvergenceRecord]:
     """Gregor-Benson scaled SIRT: x <- x + C W^T R (b - W x) - lambda C x.
 
@@ -125,12 +125,9 @@ def sirt_solve(w: sp.spmatrix, b: np.ndarray, x0: np.ndarray,
     point solves the C-scaled regularized normal equations.
     """
     b = np.asarray(b, dtype=np.float64)
-    if x0 is None:
-        x = np.zeros(w.shape[1])
-    else:
-        x = np.array(x0, dtype=np.float64, copy=True)
-    if b.shape[0] != w.shape[0] or x.shape[0] != w.shape[1]:
+    if b.shape[0] != w.shape[0]:
         raise DimensionMismatchError("sirt_solve: dimension mismatch")
+    x = np.zeros(w.shape[1])
     scaling = sirt_scaling(w)
     lam = cfg.regularization_lambda
 
@@ -186,9 +183,8 @@ def dense_normal(p: sp.spmatrix, lam: float) -> np.ndarray:
 
 
 def bicgstab_solve(op: Callable[[np.ndarray], np.ndarray], f: np.ndarray,
+                   cfg: SolverConfig,
                    precond: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                   x0: Optional[np.ndarray] = None,
-                   cfg: SolverConfig = None,
                    x_ex: Optional[np.ndarray] = None,
                    ) -> tuple[np.ndarray, ConvergenceRecord]:
     """Van der Vorst BiCGStab with right preconditioning.
@@ -200,12 +196,8 @@ def bicgstab_solve(op: Callable[[np.ndarray], np.ndarray], f: np.ndarray,
     or the denominator of alpha that is NaN or infinite returns it with
     non-finite status.
     """
-    if cfg is None:
-        cfg = SolverConfig()
     f = np.asarray(f, dtype=np.float64)
-    x = np.zeros_like(f) if x0 is None else np.array(x0, dtype=np.float64, copy=True)
-    if x.shape != f.shape:
-        raise DimensionMismatchError("bicgstab_solve: x0/f length mismatch")
+    x = np.zeros_like(f)
     minv = (lambda v: v) if precond is None else precond
 
     record = ConvergenceRecord()

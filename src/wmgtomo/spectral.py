@@ -20,16 +20,11 @@ from .solvers import check_dense_dim, dense_normal, sirt_scaling
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted by ascending magnitude, with a source label."""
+    """Eigenvalues sorted by ascending magnitude."""
 
     eigenvalues: np.ndarray
-    label: str
     eigenvectors: Optional[np.ndarray] = None
     condition_number: Optional[float] = None
-
-    def kappa(self) -> float:
-        """max|lambda| / min|lambda| of the stored eigenvalues."""
-        return _magnitude_ratio(self.eigenvalues)
 
 
 def _magnitude_ratio(vals: np.ndarray) -> float:
@@ -64,7 +59,7 @@ def sirt_spectrum(w: sp.spmatrix, with_eigenvectors: bool = False) -> Spectrum:
     else:
         vals, vecs = scipy.linalg.eigvals(s), None
     vals, vecs = _sorted_by_magnitude(vals, vecs)
-    return Spectrum(eigenvalues=vals, label="sirt-S", eigenvectors=vecs)
+    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
 def _coarse_correction(a: np.ndarray, r: sp.spmatrix) -> np.ndarray:
@@ -108,16 +103,13 @@ def preconditioned_spectrum(w: sp.spmatrix, n: int, lam: float,
     a = dense_normal(w, lam)
     if precond_kind == "none":
         vals = scipy.linalg.eigvalsh(a).astype(np.complex128)
-        label = "normal-A"
     else:
         dense_error = {"tg": dense_tg_operator, "wtg": dense_wtg_operator}
         if precond_kind not in dense_error:
             raise ValueError(f"unknown preconditioner kind '{precond_kind}'")
         g = dense_error[precond_kind](w, n, lam)
-        label = f"{precond_kind}-preconditioned"
         # I - A G A^{-1}: right-preconditioned iteration matrix
         iteration = np.eye(a.shape[0]) - a @ np.linalg.solve(a.T, g.T).T
         vals = scipy.linalg.eigvals(iteration)
     vals, _ = _sorted_by_magnitude(vals)
-    return Spectrum(eigenvalues=vals, label=label,
-                    condition_number=_magnitude_ratio(vals))
+    return Spectrum(eigenvalues=vals, condition_number=_magnitude_ratio(vals))

@@ -67,7 +67,7 @@ def noisy_runs(bench, noisy_b):
     g, w, x_ex, _ = bench
     records = {}
     _, records["sirt"] = sirt_solve(
-        w, noisy_b, None,
+        w, noisy_b,
         SolverConfig(max_iterations=1000, regularization_lambda=0.001),
         x_ex=x_ex)
     f10 = w.T @ noisy_b
@@ -98,7 +98,7 @@ def test_criterion_1_noise_free_benchmark(bench, wmg_lam0):
                                  x_ex=x_ex)
     k_bicg = first_leq(rec_bicg, 0.02)
 
-    _, rec_sirt = sirt_solve(w, b, None, SolverConfig(max_iterations=1000),
+    _, rec_sirt = sirt_solve(w, b, SolverConfig(max_iterations=1000),
                              x_ex=x_ex)
     sirt_err = rec_sirt.rel_err_l2[-1]
 
@@ -219,7 +219,7 @@ def test_criterion_5_semi_convergence(bench, noisy_b, wmg_lam0):
                                 x_ex=x_ex)
     _, rec_bicg = bicgstab_solve(op, f, cfg=SolverConfig(max_iterations=300),
                                  x_ex=x_ex)
-    _, rec_sirt = sirt_solve(w, noisy_b, None,
+    _, rec_sirt = sirt_solve(w, noisy_b,
                              SolverConfig(max_iterations=8000), x_ex=x_ex)
 
     details, interior_ok = [], True

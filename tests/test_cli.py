@@ -278,16 +278,21 @@ class TestReconstructCommand:
         assert read_manifest(out3)["levels"] == "3"
 
     def test_iters_zero_writes_zero_image(self, small_problem):
-        _, sino, tmp = small_problem
+        ph, sino, tmp = small_problem
         out, log = tmp / "x.bin", tmp / "conv.csv"
-        assert run("reconstruct", "--sino", sino, "--n", 16, "--angles", 24,
-                   "--detectors", 24, "--solver", "sirt", "--iters", 0,
-                   "--out", out, "--log", log) == 0
-        data, _, _ = read_grid(out)
-        np.testing.assert_array_equal(data, 0.0)
-        with open(log) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 1 and rows[0]["rel_err_l2"] == ""
+        for solver in ("sirt", "bicgstab", "wmg-bicgstab"):
+            assert run("reconstruct", "--sino", sino, "--n", 16,
+                       "--angles", 24, "--detectors", 24, "--solver", solver,
+                       "--iters", 0, "--xexact", ph, "--out", out,
+                       "--log", log) == 0
+            data, _, _ = read_grid(out)
+            np.testing.assert_array_equal(data, 0.0)
+            with open(log) as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 1
+            assert rows[0]["iter"] == "0" and rows[0]["rel_res"] == "1.0"
+            assert rows[0]["rel_err_l2"] == rows[0]["rel_err_linf"] == "1.0"
+            assert read_manifest(out)["status"] == "skipped"
 
     @pytest.mark.parametrize("solver", ["sirt", "bicgstab", "wmg-bicgstab"])
     def test_tolerance_stops_converged(self, small_problem, solver):
@@ -325,22 +330,23 @@ class TestReconstructCommand:
     def test_overflowing_sinogram_is_numerical_error(self, small_problem,
                                                      solver):
         # 1e308 is finite, so read_grid accepts it, but the residual norm
-        # overflows
+        # overflows, already at iterate 0
         _, sino, tmp = small_problem
         values, rows, cols = read_grid(sino)
         values[7] = 1e308
         write_grid(sino, values, rows, cols)
         out = tmp / "x.bin"
-        code = run("reconstruct", "--sino", sino, "--n", 16, "--angles", 24,
-                   "--detectors", 24, "--solver", solver, "--iters", 5,
-                   "--out", out, "--log", tmp / "l")
-        assert code == EXIT_NUMERICAL_ERROR
-        assert not out.exists()
+        for iters in (5, 0):
+            code = run("reconstruct", "--sino", sino, "--n", 16,
+                       "--angles", 24, "--detectors", 24, "--solver", solver,
+                       "--iters", iters, "--out", out, "--log", tmp / "l")
+            assert code == EXIT_NUMERICAL_ERROR
+            assert not out.exists()
 
     @pytest.mark.parametrize("option,value,iters", [
         pytest.param("--lambda", "nan", 5, id="nan"),
         pytest.param("--lambda", "inf", 5, id="inf"),
-        # --iters 0 runs no solver, so no SolverConfig checks the values
+        # --iters 0 builds the same SolverConfig, which checks the values
         pytest.param("--lambda", "nan", 0, id="nan-iters0"),
         pytest.param("--tol", "nan", 5, id="tol-nan"),
         pytest.param("--tol", "nan", 0, id="tol-nan-iters0"),
@@ -352,6 +358,17 @@ class TestReconstructCommand:
         code = run("reconstruct", "--sino", sino, "--n", 16, "--angles", 24,
                    "--detectors", 24, "--solver", "bicgstab", "--iters", iters,
                    option, value, "--out", out, "--log", tmp / "l")
+        assert code == EXIT_ARG_ERROR
+        assert not out.exists()
+
+    def test_negative_iters_rejected_before_projecting(self, small_problem,
+                                                       monkeypatch):
+        _, sino, tmp = small_problem
+        monkeypatch.setattr(cli, "build_projector", _no_projector)
+        out = tmp / "x.bin"
+        code = run("reconstruct", "--sino", sino, "--n", 16, "--angles", 24,
+                   "--detectors", 24, "--solver", "sirt", "--iters", -1,
+                   "--out", out, "--log", tmp / "l")
         assert code == EXIT_ARG_ERROR
         assert not out.exists()
 
@@ -424,6 +441,15 @@ class TestSpectrumCommand:
         out = tmp_path / "spec.csv"
         assert run("spectrum", "--n", 6, "--angles", 12, "--operator",
                    "sirt-s", "--modes", -1, "--modes-prefix",
+                   tmp_path / "mode_", "--out", out) == EXIT_ARG_ERROR
+        assert not out.exists()
+        assert not list(tmp_path.glob("mode_*"))
+
+    def test_mode_count_above_pixel_count_rejected(self, tmp_path):
+        # a 4x4 image has 16 eigenmodes
+        out = tmp_path / "spec.csv"
+        assert run("spectrum", "--n", 4, "--angles", 4, "--operator",
+                   "sirt-s", "--modes", 100, "--modes-prefix",
                    tmp_path / "mode_", "--out", out) == EXIT_ARG_ERROR
         assert not out.exists()
         assert not list(tmp_path.glob("mode_*"))

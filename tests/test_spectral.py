@@ -2,14 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wmgtomo.spectral import (Spectrum, dense_tg_operator, dense_wtg_operator,
+from wmgtomo.spectral import (dense_tg_operator, dense_wtg_operator,
                               preconditioned_spectrum, sirt_spectrum)
-
-
-class TestSpectrum:
-    def test_kappa(self):
-        s = Spectrum(eigenvalues=np.array([-4.0, 0.5, 2.0]), label="t")
-        assert s.kappa() == 8.0
 
 
 class TestSirtSpectrum:
