@@ -77,6 +77,26 @@ def mirror_rows(g: Geometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                  for k in (single, paired, m - paired))
 
 
+def rotation_rows(g: Geometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """mirror_rows' `half` (A) split by the 180-degree rotation: (quarter,
+    middle, turned).
+
+    The rotation (x, y) -> (-x, -y) maps the ray at angle k and detector i
+    onto the ray at angle k and detector d - 1 - i, and reverses a flat
+    image vector. `quarter` (Q) holds A's rows with i < d//2, `turned` the
+    row of each one's rotated partner, and `middle` (M) the rows of the
+    middle detector of an odd count d. Then H_A = H_M + H_Q + R H_Q R, with
+    R the reversal of the image. Only A is split: the axis-aligned rays of
+    S can run along pixel boundaries, which the projector does not treat
+    symmetrically.
+    """
+    m, d = g.n_angles, g.n_detectors
+    paired = np.arange(1, (m + 1) // 2) * d
+    lower, middle = np.arange(d // 2), np.arange(d // 2, d - d // 2)
+    return tuple(np.add.outer(paired, i).ravel()
+                 for i in (lower, middle, d - 1 - lower))
+
+
 def _snapped_trig(theta: float) -> tuple[float, float]:
     """cos/sin with 1-ulp residue at axis-aligned angles snapped to exact
     values, so axis-aligned rays produce exactly unit weights."""

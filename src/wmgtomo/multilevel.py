@@ -5,9 +5,10 @@ Every hierarchy node stores only its tall-and-skinny factor P (the fine
 projector times accumulated interpolations), so its Galerkin operator is
 exactly Gram(P) + lambda*I; the orthonormal-row Haar restrictions make the
 regularization term pass through coarsening unchanged. Every coarsest
-subproblem is assembled densely by one formula, H_S + H_A + F H_A F, from
-the rays the scan's mirror symmetry leaves (all of them when no angles
-pair), and Cholesky-factored once at build time.
+subproblem is assembled densely by one formula,
+H_S + (I+F)[H_M + (I+R) H_Q], from the rays the scan's mirror and
+180-degree rotation leave (all of them when no angles pair), and
+Cholesky-factored once at build time.
 
 Subspace naming: images are row-major array[row, col] with row = y and
 col = x (see geometry module). A band name is (x-band, y-band), so LH means
@@ -23,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import Geometry, mirror_rows
+from .geometry import Geometry, mirror_rows, rotation_rows
 from .sparse_kernels import (DenseFactorization, DimensionMismatchError,
                              NotPositiveDefiniteError, cholesky_factor,
                              seeded_uniform, spgemm)
@@ -109,45 +110,53 @@ class WmgHierarchy:
     root: WmgNode
 
 
-def _row_block(p: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
-    """p[rows] for sorted rows; a view of p's arrays when they are one range."""
-    lo, hi = (int(rows[0]), int(rows[-1]) + 1) if rows.size else (0, 0)
-    if hi - lo != rows.size:
-        return p[rows]
-    start, stop = p.indptr[lo], p.indptr[hi]
-    return sp.csr_matrix((p.data[start:stop], p.indices[start:stop],
-                          p.indptr[lo:hi + 1] - start),
-                         shape=(hi - lo, p.shape[1]), copy=False)
+def _row_range(c: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
+    """c[lo:hi] as a view of c's arrays, so slicing allocates no copy."""
+    start, stop = c.indptr[lo], c.indptr[hi]
+    return sp.csr_matrix((c.data[start:stop], c.indices[start:stop],
+                          c.indptr[lo:hi + 1] - start),
+                         shape=(hi - lo, c.shape[1]), copy=False)
+
+
+def _add_gram(g: np.ndarray, c: sp.csr_matrix):
+    """g += c^T c, touching only the product's nonzeros."""
+    h = (c.T @ c).tocoo()
+    g[h.row, h.col] += h.data
 
 
 def _coarse_gram(p: sp.csr_matrix, r_t: sp.csr_matrix, side: int,
-                 lam: float, mirror: tuple) -> np.ndarray:
+                 lam: float, rays: tuple) -> np.ndarray:
     """Dense P_b^T P_b + lambda I of the coarsest factor P_b = p r_t.
 
-    Only p's leading rows, S and A (geometry.mirror_rows), are multiplied:
-    the Gram is H_S + H_A + F H_A F, F the x-reversal of the side-by-side
-    image. Every Haar band is even or odd under F, so the sign of P_b's
-    mirrored rows cancels in the Gram matrix. Without pairs A is empty.
+    Only p's rows Q, M (geometry.rotation_rows) and S (geometry.mirror_rows)
+    are multiplied: the Gram is H_S + (I+F)[H_M + (I+R) H_Q], where
+    (I+X) H = H + X H X, F is the x-reversal of the side-by-side image and
+    R the reversal of the whole image (the 180-degree rotation). Every Haar
+    band is even or odd under F and under R, so the signs of P_b's mirrored
+    and turned rows cancel in the Gram matrix. Without pairs Q and M are
+    empty.
     """
-    single, half = mirror
-    c = spgemm(_row_block(p, np.arange(single.size + half.size)), r_t)
-    g = dense_normal(_row_block(c, half), 0.0)
+    quarter, middle, single = rays
+    c = spgemm(p[np.concatenate(rays)], r_t)
+    q_end, m_end = quarter.size, quarter.size + middle.size
+    g = dense_normal(_row_range(c, 0, q_end), 0.0)
+    # (R H R)[i, j] = H[R i, R j] reverses both indices
+    g += g[::-1, ::-1]
+    _add_gram(g, _row_range(c, q_end, m_end))
     # an image index is (y, x), so (F H F)[i, j] = H[F i, F j] reverses the
     # x axis of both indices
     quad = g.reshape(side, side, side, side)
     quad += quad[:, ::-1, :, ::-1]
-    c_s = _row_block(c, single)
-    h_s = (c_s.T @ c_s).tocoo()
-    g[h_s.row, h_s.col] += h_s.data
+    _add_gram(g, _row_range(c, m_end, c.shape[0]))
     if lam != 0:
         g[np.diag_indices_from(g)] += lam
     return g
 
 
 def _coarse_node(p: sp.csr_matrix, r_t: sp.csr_matrix, side: int,
-                 level: int, lam: float, path: str, mirror: tuple) -> WmgNode:
+                 level: int, lam: float, path: str, rays: tuple) -> WmgNode:
     try:
-        solve = cholesky_factor(_coarse_gram(p, r_t, side, lam, mirror))
+        solve = cholesky_factor(_coarse_gram(p, r_t, side, lam, rays))
     except NotPositiveDefiniteError as exc:
         raise NotPositiveDefiniteError(
             f"coarsest subproblem '{path}' is singular "
@@ -158,7 +167,7 @@ def _coarse_node(p: sp.csr_matrix, r_t: sp.csr_matrix, side: int,
 
 
 def _build_node(p: sp.csr_matrix, side: int, level: int, levels: int,
-                lam: float, path: str, mirror: tuple) -> WmgNode:
+                lam: float, path: str, rays: tuple) -> WmgNode:
     node = WmgNode(side=side, level=level, path=path, factor=p, lam=lam,
                    intergrid=build_intergrid_set(side))
     for band in BAND_IDS:
@@ -166,10 +175,10 @@ def _build_node(p: sp.csr_matrix, side: int, level: int, levels: int,
         child_path = f"{path}/{band}" if path else band
         if level + 1 == levels:
             child = _coarse_node(p, r_t, side // 2, level + 1, lam,
-                                 child_path, mirror)
+                                 child_path, rays)
         else:
             child = _build_node(spgemm(p, r_t), side // 2, level + 1, levels,
-                                lam, child_path, mirror)
+                                lam, child_path, rays)
         node.children[band] = child
     return node
 
@@ -187,9 +196,11 @@ def build_wmg_hierarchy(w: sp.spmatrix, g: Geometry, lam: float,
                         levels: int) -> WmgHierarchy:
     """Recursive 4-way splitting of W into tall-and-skinny coarse factors.
 
-    `g` is the scan W was built from; its mirror symmetry halves the rows
-    each coarsest Gram matrix reads. One seeded probe v checks that W has
-    it: (W v)[twin] must equal (W F v)[half], F the x-flip of the image.
+    `g` is the scan W was built from; its mirror and its 180-degree rotation
+    quarter the rows each coarsest Gram matrix reads. One seeded probe v
+    checks that W has both: (W v)[twin] must equal (W F v)[half], F the
+    x-flip of the image, and (W v)[turned] must equal (W R v)[quarter], R
+    the reversal of the image.
     """
     n = g.n_pixels_per_side
     check_levels(n, levels)
@@ -200,14 +211,21 @@ def build_wmg_hierarchy(w: sp.spmatrix, g: Geometry, lam: float,
             f"projector is {w.shape[0]}x{w.shape[1]}, expected "
             f"{g.n_data}x{g.n_image}")
     single, half, twin = mirror_rows(g)
+    quarter, middle, turned = rotation_rows(g)
     v = seeded_uniform(g.n_image, 0)
-    wv, wfv = w @ v, w @ v.reshape(n, n)[:, ::-1].ravel()
-    gap = np.abs(wv[twin] - wfv[half]).max(initial=0.0)
-    if gap > 1e-9 * np.abs(wfv).max(initial=0.0):
-        raise DimensionMismatchError(
-            f"projector rows do not mirror as the scan's angles say "
-            f"(probe gap {gap:.3g}); was it built from this geometry?")
-    root = _build_node(w, n, 1, levels, lam, "", (single, half))
+    wv = w @ v
+    for moved, rows, partners, how in (
+            (v.reshape(n, n)[:, ::-1].ravel(), half, twin,
+             "mirror as the scan's angles say"),
+            (v[::-1], quarter, turned,
+             "follow the scan's 180-degree rotation")):
+        wu = w @ moved
+        gap = np.abs(wv[partners] - wu[rows]).max(initial=0.0)
+        if gap > 1e-9 * np.abs(wu).max(initial=0.0):
+            raise DimensionMismatchError(
+                f"projector rows do not {how} "
+                f"(probe gap {gap:.3g}); was it built from this geometry?")
+    root = _build_node(w, n, 1, levels, lam, "", (quarter, middle, single))
     return WmgHierarchy(levels=levels, lam=lam, root=root)
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from wmgtomo.geometry import (Geometry, _line_entries, _snapped_trig, apply,
                               apply_transpose, build_geometry,
-                              build_projector, mirror_rows)
+                              build_projector, mirror_rows, rotation_rows)
 from wmgtomo.sparse_kernels import DimensionMismatchError
 
 
@@ -179,6 +179,35 @@ def test_mirror_rows_pair_each_ray_with_its_x_mirror(n, n_detectors, m):
         np.testing.assert_array_equal(mirror[ray.indices][order],
                                       ray_twin.indices)
         np.testing.assert_allclose(ray.data[order], ray_twin.data,
+                                   rtol=0, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(1, 10), n_detectors=st.integers(1, 15),
+       m=st.integers(1, 12))
+def test_rotation_rows_pair_each_ray_with_its_180_degree_turn(
+        n, n_detectors, m):
+    # detector i pairs with d - 1 - i at the same angle; the middle detector
+    # of an odd count is its own partner
+    g = build_geometry(n, n_detectors, m)
+    w = build_projector(g)
+    _, half, _ = mirror_rows(g)
+    quarter, middle, turned = rotation_rows(g)
+
+    np.testing.assert_array_equal(
+        np.sort(np.concatenate([quarter, middle, turned])), half)
+    assert middle.size == (n_detectors % 2) * half.size // n_detectors
+    assert turned.shape == quarter.shape
+    for r, t in zip(quarter, turned):
+        k, i = divmod(r, n_detectors)
+        assert i < n_detectors // 2
+        assert t == k * n_detectors + n_detectors - 1 - i
+        # the rotation reverses a flat image vector: column j -> N - 1 - j
+        ray, ray_turned = w[r], w[t]
+        order = np.argsort(g.n_image - 1 - ray.indices)
+        np.testing.assert_array_equal(
+            (g.n_image - 1 - ray.indices)[order], ray_turned.indices)
+        np.testing.assert_allclose(ray.data[order], ray_turned.data,
                                    rtol=0, atol=1e-12)
 
 

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wmgtomo.multilevel import (BAND_IDS, WmgHierarchy,
                                 build_intergrid_set, build_wmg_hierarchy,
                                 haar_scaling_1d, haar_wavelet_1d,
                                 wmg_preconditioner, wtg_apply)
-from wmgtomo.geometry import build_geometry, build_projector, mirror_rows
+from wmgtomo.geometry import (build_geometry, build_projector, mirror_rows,
+                              rotation_rows)
 from wmgtomo.solvers import (SolverConfig, bicgstab_solve, dense_normal,
                              normal_operator)
 from wmgtomo.spectral import dense_wtg_operator
@@ -62,6 +64,20 @@ class TestIntergridStructure:
         assert np.abs(grids["LH"] @ const_x).max() > 0.1
         assert np.abs(grids["HL"] @ const_x).max() <= 1e-13
         assert np.abs(grids["HL"] @ const_y).max() > 0.1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(half_side=st.integers(1, 24), seed=st.integers(0, 2 ** 32 - 1))
+def test_bands_are_even_or_odd_under_the_180_degree_rotation(half_side,
+                                                             seed):
+    # reversing the image reverses each band's coefficients: LL and HH keep
+    # their sign, LH and HL (one Haar wavelet factor) flip it
+    n = 2 * half_side
+    v = np.random.default_rng(seed).standard_normal(n * n)
+    sign = {"LL": 1.0, "LH": -1.0, "HL": -1.0, "HH": 1.0}
+    for band, r in build_intergrid_set(n).items():
+        np.testing.assert_allclose(r @ v[::-1], sign[band] * (r @ v)[::-1],
+                                   rtol=0, atol=1e-13)
 
 
 class TestHierarchy:
@@ -122,6 +138,20 @@ class TestHierarchy:
         with pytest.raises(DimensionMismatchError, match="mirror"):
             build_wmg_hierarchy(build_projector(other), g, 0.0, 2)
 
+    def test_rows_that_mirror_but_do_not_rotate_are_refused(self, w16):
+        # zero one A ray and its mirror twin: the mirror still holds, but
+        # the ray's rotated partner (detector d - 1 - i) does not match it
+        g, w = w16
+        _, half, twin = mirror_rows(g)
+        quarter, _, _ = rotation_rows(g)
+        row = quarter[4]
+        assert w[row].nnz
+        broken = w.tolil()
+        broken[row] = 0.0
+        broken[twin[np.flatnonzero(half == row)[0]]] = 0.0
+        with pytest.raises(DimensionMismatchError, match="rotation"):
+            build_wmg_hierarchy(broken.tocsr(), g, 0.0, 2)
+
     def test_singular_coarse_block_raises(self):
         # one axis-aligned angle: the projector annihilates all vertically
         # oscillating modes, so an HH coarse Gram matrix is singular
@@ -144,8 +174,9 @@ def coarse_pairs(h):
 
 
 class TestMirroredCoarseGram:
-    """Coarsest Gram matrices read half the rays through the scan's
-    theta -> pi - theta mirror; dense_normal over all rays is the reference."""
+    """Coarsest Gram matrices read a quarter of the rays through the scan's
+    theta -> pi - theta mirror and its 180-degree rotation; dense_normal
+    over all rays is the reference."""
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     @pytest.mark.parametrize("levels", [2, 3])
@@ -167,6 +198,24 @@ class TestMirroredCoarseGram:
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
             nodes += 1
         assert nodes == 4 ** (levels - 1)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(half_side=st.integers(1, 8), n_detectors=st.integers(1, 15),
+           m=st.integers(1, 12))
+    def test_random_scans_match_full_ray_gram(self, half_side, n_detectors,
+                                              m):
+        # odd detector counts put a middle ray in every paired angle
+        n = 2 * half_side
+        g = build_geometry(n, n_detectors, m)
+        w = build_projector(g)
+        lam = 1.0
+        for levels in (2, 3) if n % 4 == 0 else (2,):
+            h = build_wmg_hierarchy(w, g, lam, levels)
+            for node, p in coarse_pairs(h):
+                lower = node.coarse_solve.lower
+                ref = dense_normal(p, 0.0)
+                got = lower @ lower.T - lam * np.eye(node.dim)
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("lam", [1.0, 2.5])
     @pytest.mark.parametrize("levels", [2, 3])
