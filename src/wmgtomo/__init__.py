@@ -3,7 +3,7 @@ Krylov preconditioner."""
 
 __version__ = "0.1.0"
 
-from .geometry import Geometry, apply, apply_transpose, build_geometry, build_projector
+from .geometry import Geometry, apply, apply_transpose, build_projector
 from .multilevel import (WmgHierarchy, build_intergrid_set,
                          build_wmg_hierarchy, haar_scaling_1d, haar_wavelet_1d,
                          wmg_preconditioner, wtg_apply)

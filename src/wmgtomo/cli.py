@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .geometry import build_geometry, build_projector
+from .geometry import Geometry, build_projector
 from .multilevel import (build_wmg_hierarchy, check_levels,
                          wmg_preconditioner)
 from .phantom import add_noise, shepp_logan
@@ -143,7 +143,7 @@ def cmd_project(args) -> int:
         raise CliError("input image must be square")
     if args.noise and args.seed is None:
         raise CliError("--noise requires an explicit --seed")
-    g = build_geometry(rows, args.detectors, args.angles)
+    g = Geometry(rows, args.detectors, args.angles)
     w = build_projector(g)
     b = w @ x
     if args.noise:
@@ -189,7 +189,7 @@ def cmd_reconstruct(args) -> int:
         x_ex, xr, xc = read_grid(args.xexact)
         if xr != args.n or xc != args.n:
             raise CliError("--xexact image does not match --n")
-    g = build_geometry(args.n, args.detectors, args.angles)
+    g = Geometry(args.n, args.detectors, args.angles)
     w = build_projector(g)
     x, record = _run_solver(args.solver, w, g, b, cfg, x_ex, levels)
     if record.status == STATUS_NON_FINITE:
@@ -220,8 +220,8 @@ def cmd_spectrum(args) -> int:
     if args.modes > args.n ** 2:
         raise CliError(f"--modes {args.modes} exceeds the {args.n ** 2} "
                        f"eigenmodes of a {args.n}-by-{args.n} image")
-    g = build_geometry(args.n, args.n if args.detectors is None
-                       else args.detectors, args.angles)
+    g = Geometry(args.n, args.n if args.detectors is None
+                 else args.detectors, args.angles)
     w = build_projector(g)
     modes = None
     if args.operator == "sirt-s":
@@ -262,8 +262,8 @@ def cmd_bench(args) -> int:
     check_levels(args.n, args.levels)  # every table has a wmg-bicgstab row
     table = args.table
     n = args.n
-    g = build_geometry(n, n if args.detectors is None else args.detectors,
-                       args.angles)
+    g = Geometry(n, n if args.detectors is None else args.detectors,
+                 args.angles)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     w = build_projector(g)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse_kernels import DimensionMismatchError
+from .sparse_kernels import DimensionMismatchError, seeded_uniform
 
 
 @dataclass(frozen=True)
@@ -53,48 +53,57 @@ class Geometry:
         return self.n_angles * self.n_detectors
 
 
-def build_geometry(n: int, n_detectors: int, n_angles: int) -> Geometry:
-    """Equiangular geometry over the half-turn [0, pi)."""
-    return Geometry(n, n_detectors, n_angles)
-
-
-def mirror_rows(g: Geometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """W's rows split by the mirror theta -> pi - theta: (single, half, twin).
+def gram_rows(g: Geometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of W that its Gram matrix needs, given the scan's mirror
+    and 180-degree rotation: (quarter, middle, single).
 
     With centred detectors, the ray at angle pi - theta and detector i is
     the x-mirror of the ray at theta and detector i, so angle k pairs with
-    angle m - k. `half` (A) holds the rows of the angles 0 < k < m/2,
-    `twin` the row of each one's mirror ray, and `single` (S) the rows of
-    angle 0 and, for even m, of the self-paired angle m/2. Then W^T W =
-    H_S + H_A + F H_A F, with H_X the Gram matrix over the rows X and F the
-    x-flip of the image. S and A together are W's first (m//2 + 1) angles;
-    `half` is empty when m <= 2.
+    angle m - k; the ray at angle k and detector d - 1 - i is the
+    180-degree rotation of the one at detector i, which reverses a flat
+    image vector. Of the angles 0 < k < m/2, `quarter` (Q) holds the rows
+    with i < d//2 and `middle` (M) the middle detector of an odd count d;
+    `single` (S) holds the rows of angle 0 and, for even m, of the
+    self-paired angle m/2. Then W^T W = H_S + (I+F)[H_M + (I+R) H_Q], with
+    H_X the Gram matrix over the rows X, (I+X) H = H + X H X, F the x-flip
+    and R the reversal of the image. S is not turned: its axis-aligned rays
+    can run along pixel boundaries, where `_line_entries` gives the whole
+    length to the pixel on one side. Q and M are empty when m <= 2.
     """
     m, d = g.n_angles, g.n_detectors
-    single = np.array([0, m // 2] if m % 2 == 0 else [0])
     paired = np.arange(1, (m + 1) // 2)
-    return tuple(np.add.outer(k * d, np.arange(d)).ravel()
-                 for k in (single, paired, m - paired))
+    single = np.array([0, m // 2] if m % 2 == 0 else [0])
+    return tuple(np.add.outer(k * d, i).ravel() for k, i in (
+        (paired, np.arange(d // 2)),
+        (paired, np.arange(d // 2, d - d // 2)),
+        (single, np.arange(d))))
 
 
-def rotation_rows(g: Geometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """mirror_rows' `half` (A) split by the 180-degree rotation: (quarter,
-    middle, turned).
-
-    The rotation (x, y) -> (-x, -y) maps the ray at angle k and detector i
-    onto the ray at angle k and detector d - 1 - i, and reverses a flat
-    image vector. `quarter` (Q) holds A's rows with i < d//2, `turned` the
-    row of each one's rotated partner, and `middle` (M) the rows of the
-    middle detector of an odd count d. Then H_A = H_M + H_Q + R H_Q R, with
-    R the reversal of the image. Only A is split: the axis-aligned rays of
-    S can run along pixel boundaries, which the projector does not treat
-    symmetrically.
-    """
-    m, d = g.n_angles, g.n_detectors
-    paired = np.arange(1, (m + 1) // 2) * d
-    lower, middle = np.arange(d // 2), np.arange(d // 2, d - d // 2)
-    return tuple(np.add.outer(paired, i).ravel()
-                 for i in (lower, middle, d - 1 - lower))
+def check_projector(w: sp.spmatrix, g: Geometry):
+    """Refuse a W not built from g: a wrong shape, or rows without the
+    mirror and rotation `gram_rows` relies on. One seeded probe v is
+    projected as it is, x-flipped (F v) and reversed (R v), each read as an
+    m-by-d sinogram. On the paired angles 0 < k < m/2, v's sinogram at
+    m - k must equal F v's at k, and v's at k, detectors reversed, R v's."""
+    if w.shape != (g.n_data, g.n_image):
+        raise DimensionMismatchError(
+            f"projector is {w.shape[0]}x{w.shape[1]}, expected "
+            f"{g.n_data}x{g.n_image}")
+    n, m, d = g.n_pixels_per_side, g.n_angles, g.n_detectors
+    paired = np.arange(1, (m + 1) // 2)
+    v = seeded_uniform(g.n_image, 0)
+    sino = (w @ v).reshape(m, d)
+    for moved, view, how in (
+            (v.reshape(n, n)[:, ::-1].ravel(), sino[m - paired],
+             "mirror as the scan's angles say"),
+            (v[::-1], sino[paired, ::-1],
+             "follow the scan's 180-degree rotation")):
+        wu = w @ moved
+        gap = np.abs(view - wu.reshape(m, d)[paired]).max(initial=0.0)
+        if gap > 1e-9 * np.abs(wu).max(initial=0.0):
+            raise DimensionMismatchError(
+                f"projector rows do not {how} "
+                f"(probe gap {gap:.3g}); was it built from this geometry?")
 
 
 def _snapped_trig(theta: float) -> tuple[float, float]:

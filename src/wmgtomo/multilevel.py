@@ -24,10 +24,9 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import Geometry, mirror_rows, rotation_rows
+from .geometry import Geometry, check_projector, gram_rows
 from .sparse_kernels import (DenseFactorization, DimensionMismatchError,
-                             NotPositiveDefiniteError, cholesky_factor,
-                             seeded_uniform, spgemm)
+                             NotPositiveDefiniteError, cholesky_factor, spgemm)
 from .solvers import check_nonneg, dense_normal, normal_operator
 
 BAND_IDS = ("LL", "LH", "HL", "HH")
@@ -105,8 +104,6 @@ class WmgNode:
 
 @dataclass(frozen=True)
 class WmgHierarchy:
-    levels: int
-    lam: float
     root: WmgNode
 
 
@@ -128,13 +125,12 @@ def _coarse_gram(p: sp.csr_matrix, r_t: sp.csr_matrix, side: int,
                  lam: float, rays: tuple) -> np.ndarray:
     """Dense P_b^T P_b + lambda I of the coarsest factor P_b = p r_t.
 
-    Only p's rows Q, M (geometry.rotation_rows) and S (geometry.mirror_rows)
-    are multiplied: the Gram is H_S + (I+F)[H_M + (I+R) H_Q], where
-    (I+X) H = H + X H X, F is the x-reversal of the side-by-side image and
-    R the reversal of the whole image (the 180-degree rotation). Every Haar
-    band is even or odd under F and under R, so the signs of P_b's mirrored
-    and turned rows cancel in the Gram matrix. Without pairs Q and M are
-    empty.
+    Only p's rows Q, M and S (geometry.gram_rows) are multiplied: the Gram
+    is H_S + (I+F)[H_M + (I+R) H_Q], where (I+X) H = H + X H X, F is the
+    x-reversal of the side-by-side image and R the reversal of the whole
+    image (the 180-degree rotation). Every Haar band is even or odd under F
+    and under R, so the signs of P_b's mirrored and turned rows cancel in
+    the Gram matrix. Without pairs Q and M are empty.
     """
     quarter, middle, single = rays
     c = spgemm(p[np.concatenate(rays)], r_t)
@@ -197,36 +193,16 @@ def build_wmg_hierarchy(w: sp.spmatrix, g: Geometry, lam: float,
     """Recursive 4-way splitting of W into tall-and-skinny coarse factors.
 
     `g` is the scan W was built from; its mirror and its 180-degree rotation
-    quarter the rows each coarsest Gram matrix reads. One seeded probe v
-    checks that W has both: (W v)[twin] must equal (W F v)[half], F the
-    x-flip of the image, and (W v)[turned] must equal (W R v)[quarter], R
-    the reversal of the image.
+    quarter the rows each coarsest Gram matrix reads (geometry.gram_rows),
+    once geometry.check_projector has confirmed that W has both.
     """
     n = g.n_pixels_per_side
     check_levels(n, levels)
     check_nonneg(lam, "lambda")
     w = w.tocsr()
-    if w.shape != (g.n_data, g.n_image):
-        raise DimensionMismatchError(
-            f"projector is {w.shape[0]}x{w.shape[1]}, expected "
-            f"{g.n_data}x{g.n_image}")
-    single, half, twin = mirror_rows(g)
-    quarter, middle, turned = rotation_rows(g)
-    v = seeded_uniform(g.n_image, 0)
-    wv = w @ v
-    for moved, rows, partners, how in (
-            (v.reshape(n, n)[:, ::-1].ravel(), half, twin,
-             "mirror as the scan's angles say"),
-            (v[::-1], quarter, turned,
-             "follow the scan's 180-degree rotation")):
-        wu = w @ moved
-        gap = np.abs(wv[partners] - wu[rows]).max(initial=0.0)
-        if gap > 1e-9 * np.abs(wu).max(initial=0.0):
-            raise DimensionMismatchError(
-                f"projector rows do not {how} "
-                f"(probe gap {gap:.3g}); was it built from this geometry?")
-    root = _build_node(w, n, 1, levels, lam, "", (quarter, middle, single))
-    return WmgHierarchy(levels=levels, lam=lam, root=root)
+    check_projector(w, g)
+    return WmgHierarchy(root=_build_node(w, n, 1, levels, lam, "",
+                                         gram_rows(g)))
 
 
 def _solve_node(node: WmgNode, r: np.ndarray) -> np.ndarray:

@@ -1,21 +1,21 @@
 import numpy as np
 import pytest
 
-from wmgtomo.geometry import build_geometry, build_projector
+from wmgtomo.geometry import Geometry, build_projector
 from wmgtomo.phantom import shepp_logan
 
 
 @pytest.fixture(scope="session")
 def w16():
     """Small full system: 16x16 image, 24 angles x 24 detectors."""
-    g = build_geometry(16, 24, 24)
+    g = Geometry(16, 24, 24)
     return g, build_projector(g)
 
 
 @pytest.fixture(scope="session")
 def w40():
     """The spectral-analysis instance: 40x40 image, 100 angles x 40 detectors."""
-    g = build_geometry(40, 40, 100)
+    g = Geometry(40, 40, 100)
     return g, build_projector(g)
 
 

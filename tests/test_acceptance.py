@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from wmgtomo.cli import main as cli_main
-from wmgtomo.geometry import apply, apply_transpose, build_geometry, \
+from wmgtomo.geometry import Geometry, apply, apply_transpose, \
     build_projector
 from wmgtomo.multilevel import (BAND_IDS, build_intergrid_set,
                                 build_wmg_hierarchy, wmg_preconditioner,
@@ -42,7 +42,7 @@ def first_leq(record, tol):
 
 @pytest.fixture(scope="module")
 def bench():
-    g = build_geometry(160, 160, 400)
+    g = Geometry(160, 160, 400)
     w = build_projector(g)
     x_ex = shepp_logan(160)
     return g, w, x_ex, w @ x_ex
@@ -132,7 +132,7 @@ def test_criterion_1_noise_free_benchmark(bench, wmg_lam0):
 
 @pytest.fixture(scope="module")
 def w40():
-    g = build_geometry(40, 40, 100)
+    g = Geometry(40, 40, 100)
     return g, build_projector(g)
 
 
@@ -297,7 +297,7 @@ def test_criterion_7_property_suites(w40):
                 failures.append(f"galerkin {band} lam={lam}")
 
     # WTG algorithm vs dense operator oracle, 16x16
-    g16 = build_geometry(16, 24, 24)
+    g16 = Geometry(16, 24, 24)
     w16 = build_projector(g16)
     lam = 1.0
     a16 = (w16.T @ w16).toarray() + lam * np.eye(256)
@@ -334,7 +334,7 @@ def test_criterion_7_property_suites(w40):
     sizes = (32, 64, 128)
     cycles = {}
     for n in sizes:
-        gg = build_geometry(n, 32, 96)
+        gg = Geometry(n, 32, 96)
         ww = build_projector(gg)
         m = wmg_preconditioner(build_wmg_hierarchy(ww, gg, 1.0, 3))
         v = rng.standard_normal(n * n)

@@ -236,7 +236,7 @@ def test_removed_wtg_flag_refused(small_problem, command, options):
                            0.02, "--outdir", "bench"), id="bench"),
 ])
 def test_zero_detectors_rejected(tmp_path, monkeypatch, command, options):
-    # 0 is not "unset": it reaches build_geometry instead of becoming --n
+    # 0 is not "unset": Geometry refuses it instead of replacing it by --n
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "build_projector", _no_projector)
     assert run(command, "--n", 8, "--angles", 6, "--detectors", 0,

@@ -4,8 +4,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from wmgtomo.geometry import (Geometry, _line_entries, _snapped_trig, apply,
-                              apply_transpose, build_geometry,
-                              build_projector, mirror_rows, rotation_rows)
+                              apply_transpose, build_projector,
+                              check_projector, gram_rows)
 from wmgtomo.sparse_kernels import DimensionMismatchError
 
 
@@ -26,7 +26,7 @@ def chord(x0, y0, dx, dy, half):
 
 class TestGeometry:
     def test_angle_grid(self):
-        g = build_geometry(8, 8, 4)
+        g = Geometry(8, 8, 4)
         np.testing.assert_allclose(
             g.angles, [0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4], atol=1e-15)
         assert g.n_image == 64
@@ -35,21 +35,21 @@ class TestGeometry:
     def test_rejects_bad_sizes(self):
         for bad in [(0, 8, 4), (8, 0, 4), (8, 8, 0)]:
             with pytest.raises(ValueError):
-                build_geometry(*bad)
+                Geometry(*bad)
 
     def test_compares_and_hashes_by_value(self):
-        g = build_geometry(16, 24, 24)
+        g = Geometry(16, 24, 24)
         assert g == Geometry(16, 24, 24)
-        assert hash(g) == hash(build_geometry(16, 24, 24))
-        assert g != build_geometry(16, 48, 12)
-        assert {g: "scan"}[build_geometry(16, 24, 24)] == "scan"
+        assert hash(g) == hash(Geometry(16, 24, 24))
+        assert g != Geometry(16, 48, 12)
+        assert {g: "scan"}[Geometry(16, 24, 24)] == "scan"
 
 
 class TestLineKernel:
     def test_vertical_rays_hit_pixel_columns(self):
         # angle 0: each of the 4 rays runs down one pixel column; every
         # crossed pixel gets weight exactly 1.0
-        g = build_geometry(4, 4, 1)
+        g = Geometry(4, 4, 1)
         d = build_projector(g).toarray()
         for det in range(4):
             cols = np.nonzero(d[det])[0]
@@ -59,7 +59,7 @@ class TestLineKernel:
 
     def test_horizontal_rays_hit_pixel_rows(self):
         # angle pi/2 is the second of two angles
-        g = build_geometry(4, 4, 2)
+        g = Geometry(4, 4, 2)
         d = build_projector(g).toarray()[4:]
         for det in range(4):
             cols = np.nonzero(d[det])[0]
@@ -69,7 +69,7 @@ class TestLineKernel:
     def test_diagonal_chord_is_exact(self):
         # the central ray at 45 degrees crosses the full diagonal of an
         # 8x8 grid; intersection lengths must sum to the exact chord 8*sqrt(2)
-        g = build_geometry(8, 11, 4)
+        g = Geometry(8, 11, 4)
         w = build_projector(g)
         row_sums = np.asarray(w.sum(axis=1)).ravel()
         central = 1 * 11 + 5  # angle pi/4, middle detector
@@ -78,7 +78,7 @@ class TestLineKernel:
     def test_rays_missing_grid_give_empty_rows(self):
         # 12 detectors against a 4x4 grid: the outermost rays at angle 0
         # pass entirely outside the image
-        g = build_geometry(4, 12, 1)
+        g = Geometry(4, 12, 1)
         w = build_projector(g)
         counts = np.diff(w.indptr)
         assert counts[0] == 0 and counts[-1] == 0
@@ -99,7 +99,7 @@ class TestLineKernel:
     def test_csr_equals_coo_assembly_of_the_same_entries(self, sizes):
         # the reference is the COO route: one row id per entry, global
         # (row, col) sort, duplicate summation, conversion to CSR
-        g = build_geometry(*sizes)
+        g = Geometry(*sizes)
         counts, cols, vals = _line_entries(g)
         rows = np.repeat(np.arange(g.n_data), counts)
         ref = sp.coo_matrix((vals, (rows, cols)), shape=(g.n_data, g.n_image))
@@ -118,7 +118,7 @@ class TestLineKernel:
        n_angles=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
 def test_projector_rows_are_chords_and_transpose_is_adjoint(
         n, n_detectors, n_angles, seed):
-    g = build_geometry(n, n_detectors, n_angles)
+    g = Geometry(n, n_detectors, n_angles)
     w = build_projector(g)
     assert w.shape == (g.n_data, g.n_image)
     # canonical CSR: columns strictly increasing within every row
@@ -143,72 +143,80 @@ def test_projector_rows_are_chords_and_transpose_is_adjoint(
     assert abs(apply(w, x) @ y - x @ apply_transpose(w, y)) <= 1e-13 * scale
 
 
+SCANS = dict(n=st.integers(1, 10), n_detectors=st.integers(1, 15),
+             m=st.integers(1, 12))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(n=st.integers(1, 10), n_detectors=st.integers(1, 12),
-       m=st.integers(1, 12))
-def test_mirror_rows_pair_each_ray_with_its_x_mirror(n, n_detectors, m):
-    # angle k pi / m pairs with (m - k) pi / m; angle 0 and, for even m,
-    # angle pi/2 have no distinct partner
-    g = build_geometry(n, n_detectors, m)
+@given(**SCANS)
+def test_gram_rows_and_their_images_cover_every_ray_once(n, n_detectors, m):
+    # the mirror F sends angle k to m - k, the rotation R detector i to
+    # d - 1 - i; S, Q, M, F Q, R Q, F R Q and F M are W's rows exactly once,
+    # which is what H_S + (I+F)[H_M + (I+R) H_Q] = W^T W rests on
+    g = Geometry(n, n_detectors, m)
     w = build_projector(g)
-    single, half, twin = mirror_rows(g)
+    quarter, middle, single = gram_rows(g)
 
-    partner = {k: m - k for k in range(1, m) if 2 * k != m}
-    detectors = np.arange(n_detectors)
+    def mirror(rows):
+        k, i = divmod(rows, n_detectors)
+        return (m - k) * n_detectors + i
 
-    def rows(ks):
-        return np.array([k * n_detectors + detectors for k in ks],
-                        dtype=np.int64).reshape(-1)
+    def turn(rows):
+        k, i = divmod(rows, n_detectors)
+        return k * n_detectors + n_detectors - 1 - i
 
-    np.testing.assert_array_equal(
-        single, rows([k for k in range(m) if k not in partner]))
-    np.testing.assert_array_equal(
-        half, rows([k for k in range(m) if k in partner and k < partner[k]]))
-    # S and A are W's leading rows
-    np.testing.assert_array_equal(np.union1d(single, half),
-                                  np.arange(single.size + half.size))
+    # where each map sends image column j: F flips x, R reverses the vector
+    flip = np.arange(g.n_image).reshape(n, n)[:, ::-1].ravel()
+    rev = np.arange(g.n_image)[::-1]
+    images = [(quarter, mirror(quarter), flip), (quarter, turn(quarter), rev),
+              (quarter, mirror(turn(quarter)), flip[rev]),
+              (middle, mirror(middle), flip)]
+    cover = np.concatenate([single, quarter, middle]
+                           + [to for _, to, _ in images])
+    np.testing.assert_array_equal(np.sort(cover), np.arange(g.n_data))
 
-    # x-mirror of a column: (y, x) -> (y, n - 1 - x)
-    mirror = np.arange(g.n_image).reshape(n, n)[:, ::-1].ravel()
-    assert twin.shape == half.shape
-    for r, t in zip(half, twin):
-        k, i = r // n_detectors, r % n_detectors
-        assert t == partner[k] * n_detectors + i
-        ray, ray_twin = w[r], w[t]
-        order = np.argsort(mirror[ray.indices])
-        np.testing.assert_array_equal(mirror[ray.indices][order],
-                                      ray_twin.indices)
-        np.testing.assert_allclose(ray.data[order], ray_twin.data,
-                                   rtol=0, atol=1e-12)
+    for rows, partners, cols in images:
+        for r, t in zip(rows, partners):
+            ray, image = w[r], w[t]
+            order = np.argsort(cols[ray.indices])
+            np.testing.assert_array_equal(cols[ray.indices][order],
+                                          image.indices)
+            np.testing.assert_allclose(ray.data[order], image.data,
+                                       rtol=0, atol=1e-12)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(n=st.integers(1, 10), n_detectors=st.integers(1, 15),
-       m=st.integers(1, 12))
-def test_rotation_rows_pair_each_ray_with_its_180_degree_turn(
+@given(**SCANS)
+def test_check_projector_accepts_every_scan_its_own_projector(
         n, n_detectors, m):
-    # detector i pairs with d - 1 - i at the same angle; the middle detector
-    # of an odd count is its own partner
-    g = build_geometry(n, n_detectors, m)
-    w = build_projector(g)
-    _, half, _ = mirror_rows(g)
-    quarter, middle, turned = rotation_rows(g)
+    g = Geometry(n, n_detectors, m)
+    check_projector(build_projector(g), g)
 
-    np.testing.assert_array_equal(
-        np.sort(np.concatenate([quarter, middle, turned])), half)
-    assert middle.size == (n_detectors % 2) * half.size // n_detectors
-    assert turned.shape == quarter.shape
-    for r, t in zip(quarter, turned):
-        k, i = divmod(r, n_detectors)
-        assert i < n_detectors // 2
-        assert t == k * n_detectors + n_detectors - 1 - i
-        # the rotation reverses a flat image vector: column j -> N - 1 - j
-        ray, ray_turned = w[r], w[t]
-        order = np.argsort(g.n_image - 1 - ray.indices)
-        np.testing.assert_array_equal(
-            (g.n_image - 1 - ray.indices)[order], ray_turned.indices)
-        np.testing.assert_allclose(ray.data[order], ray_turned.data,
-                                   rtol=0, atol=1e-12)
+
+class TestCheckProjector:
+    def test_wrong_shape_is_refused(self, w16):
+        _, w = w16
+        with pytest.raises(DimensionMismatchError, match="expected"):
+            check_projector(w, Geometry(16, 24, 25))
+
+    def test_same_shape_from_another_scan_is_refused(self, w16):
+        # 576x256 both, but 48 detectors at 12 angles do not mirror as 24
+        # detectors at 24 angles do
+        g, _ = w16
+        other = build_projector(Geometry(16, 48, 12))
+        with pytest.raises(DimensionMismatchError, match="mirror"):
+            check_projector(other, g)
+
+    def test_rows_that_mirror_but_do_not_rotate_are_refused(self, w16):
+        # zero the ray at angle 1, detector 4, and its mirror at angle m - 1:
+        # the mirror still holds, the rotation to detector d - 1 - 4 does not
+        g, w = w16
+        d = g.n_detectors
+        broken = w.tolil()
+        broken[d + 4] = 0.0
+        broken[(g.n_angles - 1) * d + 4] = 0.0
+        with pytest.raises(DimensionMismatchError, match="rotation"):
+            check_projector(broken.tocsr(), g)
 
 
 class TestApply:

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from wmgtomo.multilevel import (BAND_IDS, WmgHierarchy,
                                 build_intergrid_set, build_wmg_hierarchy,
                                 haar_scaling_1d, haar_wavelet_1d,
                                 wmg_preconditioner, wtg_apply)
-from wmgtomo.geometry import (build_geometry, build_projector, mirror_rows,
-                              rotation_rows)
+from wmgtomo.geometry import Geometry, build_projector, gram_rows
 from wmgtomo.solvers import (SolverConfig, bicgstab_solve, dense_normal,
                              normal_operator)
 from wmgtomo.spectral import dense_wtg_operator
@@ -51,6 +51,23 @@ class TestIntergridOrthogonality:
         grids = build_intergrid_set(n)
         total = sum((grids[b].T @ grids[b]).toarray() for b in BAND_IDS)
         assert np.abs(total - np.eye(n * n)).max() <= 1e-14
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(half_side=st.integers(1, 32))
+def test_haar_bands_are_orthonormal_and_resolve_the_identity(half_side):
+    # sparse products against sp.identity: a dense n^2-by-n^2 identity
+    # would take 134 MB at n = 64
+    n = 2 * half_side
+    grids = build_intergrid_set(n)
+    for i, a in enumerate(BAND_IDS):
+        for b in BAND_IDS[i:]:
+            prod = grids[a] @ grids[b].T
+            if a == b:
+                prod = prod - sp.identity(n * n // 4)
+            assert abs(prod).max() <= 1e-14
+    total = sum(grids[b].T @ grids[b] for b in BAND_IDS)
+    assert abs(total - sp.identity(n * n)).max() <= 1e-14
 
 
 class TestIntergridStructure:
@@ -132,30 +149,30 @@ class TestHierarchy:
         with pytest.raises(ValueError):
             build_wmg_hierarchy(w, g, 0.0, 6)  # 16 not divisible by 32
         with pytest.raises(DimensionMismatchError):
-            build_wmg_hierarchy(w, build_geometry(16, 24, 25), 0.0, 2)
+            build_wmg_hierarchy(w, Geometry(16, 24, 25), 0.0, 2)
         # right shape (576x256), other scan: the rows do not mirror as g says
-        other = build_geometry(16, 48, 12)
+        other = Geometry(16, 48, 12)
         with pytest.raises(DimensionMismatchError, match="mirror"):
             build_wmg_hierarchy(build_projector(other), g, 0.0, 2)
 
     def test_rows_that_mirror_but_do_not_rotate_are_refused(self, w16):
-        # zero one A ray and its mirror twin: the mirror still holds, but
-        # the ray's rotated partner (detector d - 1 - i) does not match it
+        # zero the ray at angle 1, detector 4, and its mirror twin at angle
+        # m - 1: the mirror still holds, but the ray's rotated partner
+        # (detector d - 1 - 4) does not match it
         g, w = w16
-        _, half, twin = mirror_rows(g)
-        quarter, _, _ = rotation_rows(g)
-        row = quarter[4]
+        d = g.n_detectors
+        row, twin = d + 4, (g.n_angles - 1) * d + 4
         assert w[row].nnz
         broken = w.tolil()
         broken[row] = 0.0
-        broken[twin[np.flatnonzero(half == row)[0]]] = 0.0
+        broken[twin] = 0.0
         with pytest.raises(DimensionMismatchError, match="rotation"):
             build_wmg_hierarchy(broken.tocsr(), g, 0.0, 2)
 
     def test_singular_coarse_block_raises(self):
         # one axis-aligned angle: the projector annihilates all vertically
         # oscillating modes, so an HH coarse Gram matrix is singular
-        g = build_geometry(4, 4, 1)
+        g = Geometry(4, 4, 1)
         w = build_projector(g)
         with pytest.raises(NotPositiveDefiniteError):
             build_wmg_hierarchy(w, g, 0.0, 2)
@@ -181,14 +198,14 @@ class TestMirroredCoarseGram:
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     @pytest.mark.parametrize("levels", [2, 3])
     @pytest.mark.parametrize("g", [
-        pytest.param(build_geometry(16, 24, 24), id="even-m"),
-        pytest.param(build_geometry(16, 16, 25), id="odd-m"),
+        pytest.param(Geometry(16, 24, 24), id="even-m"),
+        pytest.param(Geometry(16, 16, 25), id="odd-m"),
         # offsets on grid lines: the axis-aligned rays run along pixel
         # boundaries, and they are self-paired (angle pi/2) or unpaired (0)
-        pytest.param(build_geometry(16, 17, 24), id="detector-parity"),
+        pytest.param(Geometry(16, 17, 24), id="detector-parity"),
     ])
     def test_matches_full_ray_gram(self, g, levels, lam):
-        assert mirror_rows(g)[1].size  # the mirrored path runs
+        assert gram_rows(g)[0].size  # the mirrored path runs
         h = build_wmg_hierarchy(build_projector(g), g, lam, levels)
         nodes = 0
         for node, p in coarse_pairs(h):
@@ -206,7 +223,7 @@ class TestMirroredCoarseGram:
                                               m):
         # odd detector counts put a middle ray in every paired angle
         n = 2 * half_side
-        g = build_geometry(n, n_detectors, m)
+        g = Geometry(n, n_detectors, m)
         w = build_projector(g)
         lam = 1.0
         for levels in (2, 3) if n % 4 == 0 else (2,):
@@ -222,8 +239,9 @@ class TestMirroredCoarseGram:
     def test_scan_without_pairs_is_bit_identical(self, levels, lam):
         # angles 0 and pi/2 are both self-paired; two angles leave the HH
         # Gram matrices singular, so lambda > 0
-        g = build_geometry(16, 16, 2)
-        assert mirror_rows(g)[1].size == 0
+        g = Geometry(16, 16, 2)
+        quarter, middle, _ = gram_rows(g)
+        assert quarter.size == middle.size == 0
         h = build_wmg_hierarchy(build_projector(g), g, lam, levels)
         for node, p in coarse_pairs(h):
             want = cholesky_factor(dense_normal(p, lam)).lower
