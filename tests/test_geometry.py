@@ -147,6 +147,75 @@ SCANS = dict(n=st.integers(1, 10), n_detectors=st.integers(1, 15),
              m=st.integers(1, 12))
 
 
+def assert_rows_map(w, rows, partners, cols):
+    """Row t = partners[j] of W holds row r = rows[j]'s weights moved to the
+    image columns cols: indices exact, data to 1e-12."""
+    assert partners.shape == rows.shape
+    for r, t in zip(rows, partners):
+        ray, image = w[r], w[t]
+        order = np.argsort(cols[ray.indices])
+        np.testing.assert_array_equal(cols[ray.indices][order], image.indices)
+        np.testing.assert_allclose(ray.data[order], image.data,
+                                   rtol=0, atol=1e-12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(n=st.integers(1, 10), n_detectors=st.integers(1, 12),
+       m=st.integers(1, 12))
+def test_mirror_rows_pair_each_ray_with_its_x_mirror(n, n_detectors, m):
+    # angle k pi / m pairs with (m - k) pi / m; angle 0 and, for even m,
+    # angle pi/2 have no distinct partner
+    g = Geometry(n, n_detectors, m)
+    w = build_projector(g)
+    quarter, middle, single = gram_rows(g)
+
+    partner = {k: m - k for k in range(1, m) if 2 * k != m}
+    detectors = np.arange(n_detectors)
+
+    def rows(ks):
+        return np.array([k * n_detectors + detectors for k in ks],
+                        dtype=np.int64).reshape(-1)
+
+    np.testing.assert_array_equal(
+        single, rows([k for k in range(m) if k not in partner]))
+    # the rotation of Q fills up the rest of the lower paired angles
+    k, i = divmod(quarter, n_detectors)
+    turned = k * n_detectors + n_detectors - 1 - i
+    np.testing.assert_array_equal(
+        np.sort(np.concatenate([quarter, middle, turned])),
+        rows([k for k in range(m) if k in partner and k < partner[k]]))
+
+    # every ray of an angle with a partner: x-mirror of a column is
+    # (y, x) -> (y, n - 1 - x)
+    paired = rows(sorted(partner))
+    k, i = divmod(paired, n_detectors)
+    flip = np.arange(g.n_image).reshape(n, n)[:, ::-1].ravel()
+    assert_rows_map(w, paired, (m - k) * n_detectors + i, flip)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(**SCANS)
+def test_rotation_rows_pair_each_ray_with_its_180_degree_turn(
+        n, n_detectors, m):
+    # detector i pairs with d - 1 - i at the same angle; the middle detector
+    # of an odd count is its own partner
+    g = Geometry(n, n_detectors, m)
+    w = build_projector(g)
+    quarter, middle, _ = gram_rows(g)
+    n_paired = (m + 1) // 2 - 1
+
+    assert middle.size == (n_detectors % 2) * n_paired
+    assert quarter.size == (n_detectors // 2) * n_paired
+    np.testing.assert_array_equal(middle % n_detectors, n_detectors // 2)
+    k, i = divmod(quarter, n_detectors)
+    assert (i < n_detectors // 2).all()
+    # the rotation reverses a flat image vector: column j -> N - 1 - j; the
+    # middle ray is its own turn
+    rev = np.arange(g.n_image)[::-1]
+    assert_rows_map(w, quarter, k * n_detectors + n_detectors - 1 - i, rev)
+    assert_rows_map(w, middle, middle, rev)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(**SCANS)
 def test_gram_rows_and_their_images_cover_every_ray_once(n, n_detectors, m):
@@ -176,13 +245,7 @@ def test_gram_rows_and_their_images_cover_every_ray_once(n, n_detectors, m):
     np.testing.assert_array_equal(np.sort(cover), np.arange(g.n_data))
 
     for rows, partners, cols in images:
-        for r, t in zip(rows, partners):
-            ray, image = w[r], w[t]
-            order = np.argsort(cols[ray.indices])
-            np.testing.assert_array_equal(cols[ray.indices][order],
-                                          image.indices)
-            np.testing.assert_allclose(ray.data[order], image.data,
-                                       rtol=0, atol=1e-12)
+        assert_rows_map(w, rows, partners, cols)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
