@@ -24,8 +24,7 @@ import numpy as np
 
 from . import __version__
 from .geometry import Geometry, build_projector
-from .multilevel import (build_wmg_hierarchy, check_levels,
-                         wmg_preconditioner)
+from .multilevel import build_wmg_hierarchy, check_levels, wmg_preconditioner
 from .phantom import add_noise, shepp_logan
 from .solvers import (STATUS_NON_FINITE, ConvergenceRecord, SolverConfig,
                       bicgstab_solve, check_nonneg, normal_operator,
@@ -158,17 +157,17 @@ def cmd_project(args) -> int:
     return 0
 
 
-def _run_solver(solver, w, g, b, cfg, x_ex, levels):
+def setup_solve(solver, w, g, lam, levels):
+    """Set `solver` up once on scan g's projector w at Tikhonov weight lam
+    (for wmg-bicgstab, with a `levels`-level V-cycle). Returns
+    solve(b, cfg, x_ex) -> (x, record) for any sinogram b of the scan."""
     if solver == "sirt":
-        return sirt_solve(w, b, cfg, x_ex=x_ex)
-    lam = cfg.regularization_lambda
+        return lambda b, cfg, x_ex=None: sirt_solve(w, b, lam, cfg, x_ex=x_ex)
     op = normal_operator(w, lam)
-    f = w.T @ b
-    precond = None
-    if solver == "wmg-bicgstab":
-        h = build_wmg_hierarchy(w, g, lam, levels)
-        precond = wmg_preconditioner(h)
-    return bicgstab_solve(op, f, cfg, precond=precond, x_ex=x_ex)
+    precond = (wmg_preconditioner(build_wmg_hierarchy(w, g, lam, levels))
+               if solver == "wmg-bicgstab" else None)
+    return lambda b, cfg, x_ex=None: bicgstab_solve(
+        op, w.T @ b, cfg, precond=precond, x_ex=x_ex)
 
 
 def cmd_reconstruct(args) -> int:
@@ -182,8 +181,8 @@ def cmd_reconstruct(args) -> int:
     levels = 3 if args.levels is None else args.levels
     if args.solver == "wmg-bicgstab":
         check_levels(args.n, levels)
-    cfg = SolverConfig(max_iterations=args.iters, residual_tolerance=args.tol,
-                       regularization_lambda=args.regularization)
+    cfg = SolverConfig(max_iterations=args.iters, residual_tolerance=args.tol)
+    check_nonneg(args.regularization, "lambda")
     x_ex = None
     if args.xexact:
         x_ex, xr, xc = read_grid(args.xexact)
@@ -191,7 +190,8 @@ def cmd_reconstruct(args) -> int:
             raise CliError("--xexact image does not match --n")
     g = Geometry(args.n, args.detectors, args.angles)
     w = build_projector(g)
-    x, record = _run_solver(args.solver, w, g, b, cfg, x_ex, levels)
+    solve = setup_solve(args.solver, w, g, args.regularization, levels)
+    x, record = solve(b, cfg, x_ex)
     if record.status == STATUS_NON_FINITE:
         print(f"numerical failure: {args.solver} stopped after iteration "
               f"{record.iterations[-1]} on a NaN or infinite residual "
@@ -276,9 +276,9 @@ def cmd_bench(args) -> int:
     rows = []
     for solver, (iters, target_l2, lam) in TABLE_TARGETS[table].items():
         budget = max(1, int(round(iters * args.iters_scale)))
-        cfg = SolverConfig(max_iterations=budget, regularization_lambda=lam)
+        cfg = SolverConfig(max_iterations=budget)
         t0 = time.perf_counter()
-        _, record = _run_solver(solver, w, g, b, cfg, x_ex, args.levels)
+        _, record = setup_solve(solver, w, g, lam, args.levels)(b, cfg, x_ex)
         elapsed = time.perf_counter() - t0
         rel_l2, rel_linf = record.rel_err_l2[-1], record.rel_err_linf[-1]
         low, high = 0.7 * target_l2, 1.3 * target_l2

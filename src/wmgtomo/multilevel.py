@@ -27,7 +27,8 @@ import scipy.sparse as sp
 from .geometry import Geometry, check_projector, gram_rows
 from .sparse_kernels import (DenseFactorization, DimensionMismatchError,
                              NotPositiveDefiniteError, cholesky_factor, spgemm)
-from .solvers import check_nonneg, dense_normal, normal_operator
+from .solvers import (check_dense_dim, check_nonneg, dense_normal,
+                      normal_operator)
 
 BAND_IDS = ("LL", "LH", "HL", "HH")
 
@@ -180,12 +181,13 @@ def _build_node(p: sp.csr_matrix, side: int, level: int, levels: int,
 
 
 def check_levels(n: int, levels: int):
-    """A hierarchy on an n-by-n grid needs levels >= 2 and 2^(levels-1) | n."""
+    """n-by-n grid: levels >= 2, 2^(levels-1) | n, dense coarsest blocks."""
     if levels < 2:
         raise ValueError(f"levels must be >= 2, got {levels}")
     if n % (2 ** (levels - 1)) != 0:
         raise ValueError(
             f"n={n} is not divisible by 2^(levels-1)={2 ** (levels - 1)}")
+    check_dense_dim((n >> (levels - 1)) ** 2)
 
 
 def build_wmg_hierarchy(w: sp.spmatrix, g: Geometry, lam: float,

@@ -33,13 +33,11 @@ STATUS_NON_FINITE = "non-finite"
 class SolverConfig:
     max_iterations: int = 100
     residual_tolerance: float = 0.0
-    regularization_lambda: float = 0.0
 
     def __post_init__(self):
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
         check_nonneg(self.residual_tolerance, "tolerance")
-        check_nonneg(self.regularization_lambda, "lambda")
 
 
 def check_nonneg(value: float, name: str):
@@ -116,8 +114,8 @@ def _stop(record: ConvergenceRecord, tol: float, x_ex, t0: float,
     return record.status != STATUS_MAX_ITERATIONS
 
 
-def sirt_solve(w: sp.spmatrix, b: np.ndarray, cfg: SolverConfig,
-               x_ex: Optional[np.ndarray] = None,
+def sirt_solve(w: sp.spmatrix, b: np.ndarray, lam: float,
+               cfg: SolverConfig, x_ex: Optional[np.ndarray] = None,
                ) -> tuple[np.ndarray, ConvergenceRecord]:
     """Gregor-Benson scaled SIRT: x <- x + C W^T R (b - W x) - lambda C x.
 
@@ -127,9 +125,9 @@ def sirt_solve(w: sp.spmatrix, b: np.ndarray, cfg: SolverConfig,
     b = np.asarray(b, dtype=np.float64)
     if b.shape[0] != w.shape[0]:
         raise DimensionMismatchError("sirt_solve: dimension mismatch")
+    check_nonneg(lam, "lambda")
     x = np.zeros(w.shape[1])
     scaling = sirt_scaling(w)
-    lam = cfg.regularization_lambda
 
     record = ConvergenceRecord()
     t0 = time.perf_counter()

@@ -11,15 +11,14 @@ import time
 import numpy as np
 import pytest
 
-from wmgtomo.cli import main as cli_main
+from wmgtomo.cli import main as cli_main, setup_solve
 from wmgtomo.geometry import Geometry, apply, apply_transpose, \
     build_projector
 from wmgtomo.multilevel import (BAND_IDS, build_intergrid_set,
                                 build_wmg_hierarchy, wmg_preconditioner,
                                 wtg_apply)
 from wmgtomo.phantom import add_noise, shepp_logan
-from wmgtomo.solvers import (SolverConfig, bicgstab_solve, find_kopt,
-                             normal_operator, sirt_solve)
+from wmgtomo.solvers import SolverConfig, bicgstab_solve, find_kopt
 from wmgtomo.spectral import (dense_wtg_operator, preconditioned_spectrum,
                               sirt_spectrum)
 
@@ -55,9 +54,14 @@ def noisy_b(bench):
 
 
 @pytest.fixture(scope="module")
-def wmg_lam0(bench):
+def lam0_solves(bench):
+    """The three lambda=0 setups (levels=3), built once through the CLI's
+    setup_solve and shared by criterion 1 (noise-free b) and criterion 5
+    (noisy b)."""
     g, w, _, _ = bench
-    return wmg_preconditioner(build_wmg_hierarchy(w, g, 0.0, 3))
+    return {name: setup_solve(solver, w, g, 0.0, 3) for name, solver in
+            (("sirt", "sirt"), ("bicgstab", "bicgstab"),
+             ("wmg", "wmg-bicgstab"))}
 
 
 @pytest.fixture(scope="module")
@@ -65,41 +69,25 @@ def noisy_runs(bench, noisy_b):
     """The regularized noisy-data runs shared by criteria 4 and 6:
     SIRT(lambda=0.001)@1000, BiCGStab(lambda=10)@100, WMG(lambda=10)@14."""
     g, w, x_ex, _ = bench
-    records = {}
-    _, records["sirt"] = sirt_solve(
-        w, noisy_b,
-        SolverConfig(max_iterations=1000, regularization_lambda=0.001),
-        x_ex=x_ex)
-    f10 = w.T @ noisy_b
-    op10 = normal_operator(w, 10.0)
-    _, records["bicgstab"] = bicgstab_solve(
-        op10, f10,
-        cfg=SolverConfig(max_iterations=100, regularization_lambda=10.0),
-        x_ex=x_ex)
-    m10 = wmg_preconditioner(build_wmg_hierarchy(w, g, 10.0, 3))
-    _, records["wmg"] = bicgstab_solve(
-        op10, f10, precond=m10,
-        cfg=SolverConfig(max_iterations=14, regularization_lambda=10.0),
-        x_ex=x_ex)
-    return records
+    runs = {"sirt": ("sirt", 0.001, 1000), "bicgstab": ("bicgstab", 10.0, 100),
+            "wmg": ("wmg-bicgstab", 10.0, 14)}
+    return {name: setup_solve(solver, w, g, lam, 3)(
+                noisy_b, SolverConfig(max_iterations=iters), x_ex)[1]
+            for name, (solver, lam, iters) in runs.items()}
 
 
-def test_criterion_1_noise_free_benchmark(bench, wmg_lam0):
-    _, w, x_ex, b = bench
-    op = normal_operator(w, 0.0)
-    f = w.T @ b
+def test_criterion_1_noise_free_benchmark(bench, lam0_solves):
+    _, _, x_ex, b = bench
+    wmg, bicg = lam0_solves["wmg"], lam0_solves["bicgstab"]
 
-    _, rec_wmg = bicgstab_solve(op, f, precond=wmg_lam0,
-                                cfg=SolverConfig(max_iterations=80),
-                                x_ex=x_ex)
+    _, rec_wmg = wmg(b, SolverConfig(max_iterations=80), x_ex)
     k_wmg = first_leq(rec_wmg, 0.02)
 
-    _, rec_bicg = bicgstab_solve(op, f, cfg=SolverConfig(max_iterations=400),
-                                 x_ex=x_ex)
+    _, rec_bicg = bicg(b, SolverConfig(max_iterations=400), x_ex)
     k_bicg = first_leq(rec_bicg, 0.02)
 
-    _, rec_sirt = sirt_solve(w, b, SolverConfig(max_iterations=1000),
-                             x_ex=x_ex)
+    _, rec_sirt = lam0_solves["sirt"](b, SolverConfig(max_iterations=1000),
+                                      x_ex)
     sirt_err = rec_sirt.rel_err_l2[-1]
 
     wmg_reaches = k_wmg is not None
@@ -109,17 +97,17 @@ def test_criterion_1_noise_free_benchmark(bench, wmg_lam0):
     # Wall-clock comparison: re-run both solves truncated at the iteration
     # where each first reached the 2% error, interleaving the repetitions
     # and keeping each solver's best time, so a machine-load swing cannot
-    # slow one side of the comparison relative to the other.
+    # slow one side of the comparison relative to the other. Each timed
+    # solve includes one W^T b product (about 20 ms), on both sides.
     t_wmg = t_bicg = np.inf
     if wmg_reaches:
         n_bicg = k_bicg if k_bicg is not None else int(rec_bicg.iterations[-1])
         for _ in range(3):
             t0 = time.perf_counter()
-            bicgstab_solve(op, f, precond=wmg_lam0,
-                           cfg=SolverConfig(max_iterations=k_wmg))
+            wmg(b, SolverConfig(max_iterations=k_wmg))
             t_wmg = min(t_wmg, time.perf_counter() - t0)
             t0 = time.perf_counter()
-            bicgstab_solve(op, f, cfg=SolverConfig(max_iterations=n_bicg))
+            bicg(b, SolverConfig(max_iterations=n_bicg))
             t_bicg = min(t_bicg, time.perf_counter() - t0)
     clock_ok = t_wmg < t_bicg
 
@@ -209,23 +197,16 @@ def test_criterion_5_shared_scale_clause():
         assert (lo <= hi) is ok, (k_wmg, k_bicgstab)
 
 
-def test_criterion_5_semi_convergence(bench, noisy_b, wmg_lam0):
-    _, w, x_ex, _ = bench
-    op = normal_operator(w, 0.0)
-    f = w.T @ noisy_b
-
-    _, rec_wmg = bicgstab_solve(op, f, precond=wmg_lam0,
-                                cfg=SolverConfig(max_iterations=42),
-                                x_ex=x_ex)
-    _, rec_bicg = bicgstab_solve(op, f, cfg=SolverConfig(max_iterations=300),
-                                 x_ex=x_ex)
-    _, rec_sirt = sirt_solve(w, noisy_b,
-                             SolverConfig(max_iterations=8000), x_ex=x_ex)
+def test_criterion_5_semi_convergence(bench, noisy_b, lam0_solves):
+    x_ex = bench[2]
+    recs = {name: lam0_solves[name](
+                noisy_b, SolverConfig(max_iterations=iters), x_ex)[1]
+            for name, iters in (("wmg", 42), ("bicgstab", 300),
+                                ("sirt", 8000))}
 
     details, interior_ok = [], True
     kopts = {}
-    for name, rec in (("wmg", rec_wmg), ("bicgstab", rec_bicg),
-                      ("sirt", rec_sirt)):
+    for name, rec in recs.items():
         e = errs(rec)
         k = find_kopt(rec)
         kopts[name] = k

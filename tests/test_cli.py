@@ -8,9 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from wmgtomo import cli
 from wmgtomo.cli import (EXIT_ARG_ERROR, EXIT_NUMERICAL_ERROR, FORMAT_VERSION,
-                         MAGIC, CliError, main, read_grid, write_grid,
-                         write_pgm)
-from wmgtomo.phantom import shepp_logan
+                         MAGIC, CliError, main, read_grid, setup_solve,
+                         write_grid, write_pgm)
+from wmgtomo.multilevel import build_wmg_hierarchy, wmg_preconditioner
+from wmgtomo.phantom import add_noise, shepp_logan
+from wmgtomo.solvers import (SolverConfig, bicgstab_solve, normal_operator,
+                             sirt_solve)
 
 
 def run(*argv):
@@ -244,6 +247,72 @@ def test_zero_detectors_rejected(tmp_path, monkeypatch, command, options):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command,options", [
+    pytest.param("reconstruct", ("--sino", "s.bin", "--solver",
+                                 "wmg-bicgstab", "--iters", 5, "--out", "x",
+                                 "--log", "l"), id="reconstruct"),
+    pytest.param("bench", ("--table", "1", "--outdir", "bench"), id="bench"),
+])
+def test_oversized_coarse_blocks_rejected_before_projecting(
+        tmp_path, monkeypatch, command, options):
+    # n=192 at --levels 2 leaves 96x96 coarsest images, whose dense
+    # 9216x9216 blocks exceed the assembly guard
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "build_projector", _no_projector)
+    write_grid("s.bin", np.zeros(24 * 24), 24, 24)
+    assert run(command, "--n", 192, "--angles", 24, "--detectors", 24,
+               "--levels", 2, *options) == EXIT_ARG_ERROR
+    assert [p.name for p in tmp_path.iterdir()] == ["s.bin"]
+
+
+SOLVERS = ["sirt", "bicgstab", "wmg-bicgstab"]
+
+
+def _by_hand(solver, w, g, lam, b, cfg, x_ex):
+    """The solve as assembled from the library calls, without setup_solve."""
+    if solver == "sirt":
+        return sirt_solve(w, b, lam, cfg, x_ex=x_ex)
+    precond = (wmg_preconditioner(build_wmg_hierarchy(w, g, lam, 2))
+               if solver == "wmg-bicgstab" else None)
+    return bicgstab_solve(normal_operator(w, lam), w.T @ b, cfg,
+                          precond=precond, x_ex=x_ex)
+
+
+def _same_solve(got, want):
+    """Equal images and equal records, wall-clock times excepted."""
+    (x, rec), (x_want, rec_want) = got, want
+    assert np.array_equal(x, x_want)
+    fields = {k: v for k, v in vars(rec).items() if k != "seconds"}
+    assert fields == {k: v for k, v in vars(rec_want).items()
+                      if k != "seconds"}
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("solver", SOLVERS)
+class TestSetupSolve:
+    """setup_solve is the path reconstruct, bench and the acceptance gate
+    share; it must solve exactly as the library calls do by hand."""
+
+    CFG = SolverConfig(max_iterations=12)
+
+    def test_equals_the_hand_assembled_solve(self, w16, phantom16, solver,
+                                             lam):
+        g, w = w16
+        b = w @ phantom16
+        _same_solve(setup_solve(solver, w, g, lam, 2)(b, self.CFG, phantom16),
+                    _by_hand(solver, w, g, lam, b, self.CFG, phantom16))
+
+    def test_one_setup_serves_two_sinograms(self, w16, phantom16, solver,
+                                            lam):
+        g, w = w16
+        clean = w @ phantom16
+        solve = setup_solve(solver, w, g, lam, 2)
+        for b in (clean, add_noise(clean, 0.01, 11)):
+            _same_solve(solve(b, self.CFG, phantom16),
+                        setup_solve(solver, w, g, lam, 2)(b, self.CFG,
+                                                          phantom16))
+
+
 class TestReconstructCommand:
     def test_sirt_reconstruction_with_log(self, small_problem):
         ph, sino, tmp = small_problem
@@ -346,7 +415,7 @@ class TestReconstructCommand:
     @pytest.mark.parametrize("option,value,iters", [
         pytest.param("--lambda", "nan", 5, id="nan"),
         pytest.param("--lambda", "inf", 5, id="inf"),
-        # --iters 0 builds the same SolverConfig, which checks the values
+        # --iters 0 checks lambda and the tolerance the same way
         pytest.param("--lambda", "nan", 0, id="nan-iters0"),
         pytest.param("--tol", "nan", 5, id="tol-nan"),
         pytest.param("--tol", "nan", 0, id="tol-nan-iters0"),

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from wmgtomo.cli import setup_solve
 from wmgtomo.multilevel import build_wmg_hierarchy, wmg_preconditioner
 from wmgtomo.phantom import add_noise, shepp_logan
 from wmgtomo.sparse_kernels import DimensionMismatchError
@@ -20,15 +21,9 @@ class TestConfigAndRecord:
         assert SolverConfig(max_iterations=0).max_iterations == 0
         with pytest.raises(ValueError):
             SolverConfig(max_iterations=-1)
-        with pytest.raises(ValueError):
-            SolverConfig(residual_tolerance=-1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(regularization_lambda=-1.0)
-        for bad in (np.nan, np.inf):
+        for bad in (-1.0, np.nan, np.inf):
             with pytest.raises(ValueError):
                 SolverConfig(residual_tolerance=bad)
-            with pytest.raises(ValueError):
-                SolverConfig(regularization_lambda=bad)
 
     def test_find_kopt_first_minimum(self):
         rec = ConvergenceRecord()
@@ -57,7 +52,7 @@ class TestSirtSolve:
         _, w = w16
         b = w @ phantom16
         cfg = SolverConfig(max_iterations=1000)
-        x, rec = sirt_solve(w, b, cfg, x_ex=phantom16)
+        x, rec = sirt_solve(w, b, 0.0, cfg, x_ex=phantom16)
         assert rec.rel_err_l2[-1] < 0.05
         assert rec.rel_err_l2[-1] < rec.rel_err_l2[0]
 
@@ -66,8 +61,7 @@ class TestSirtSolve:
         _, w = w16
         lam = 0.5
         b = w @ phantom16
-        cfg = SolverConfig(max_iterations=4000, regularization_lambda=lam)
-        x, _ = sirt_solve(w, b, cfg)
+        x, _ = sirt_solve(w, b, lam, SolverConfig(max_iterations=4000))
         s = sirt_scaling(w)
         lhs = w.T @ (s.r * (w @ x)) + lam * x
         rhs = w.T @ (s.r * b)
@@ -75,7 +69,7 @@ class TestSirtSolve:
 
     def test_iteration_zero_logged_as_one(self, w16, phantom16):
         _, w = w16
-        x, rec = sirt_solve(w, w @ phantom16,
+        x, rec = sirt_solve(w, w @ phantom16, 0.0,
                             SolverConfig(max_iterations=3))
         assert rec.iterations == [0, 1, 2, 3]
         assert rec.rel_residual[0] == 1.0
@@ -86,7 +80,7 @@ class TestSirtSolve:
     def test_tolerance_stop(self, w16, phantom16):
         _, w = w16
         cfg = SolverConfig(max_iterations=500, residual_tolerance=0.5)
-        _, rec = sirt_solve(w, w @ phantom16, cfg)
+        _, rec = sirt_solve(w, w @ phantom16, 0.0, cfg)
         assert rec.status == STATUS_CONVERGED
         assert rec.rel_residual[-1] < 0.5
         assert len(rec.iterations) < 501
@@ -94,65 +88,69 @@ class TestSirtSolve:
     def test_dimension_mismatch(self, w16):
         _, w = w16
         with pytest.raises(DimensionMismatchError):
-            sirt_solve(w, np.ones(3), SolverConfig())
+            sirt_solve(w, np.ones(3), 0.0, SolverConfig())
+
+    def test_rejects_negative_or_non_finite_lambda(self, w16, phantom16):
+        _, w = w16
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="lambda"):
+                sirt_solve(w, w @ phantom16, bad, SolverConfig())
 
     def test_divergence_stops_as_non_finite(self):
         # W = [1], lambda = 1e3: x <- 1 - 1e3 x grows until it overflows
         w = sp.csr_matrix(np.array([[1.0]]))
-        cfg = SolverConfig(max_iterations=500, regularization_lambda=1e3)
         with np.errstate(over="ignore", invalid="ignore"):
-            _, rec = sirt_solve(w, np.ones(1), cfg)
+            _, rec = sirt_solve(w, np.ones(1), 1e3,
+                                SolverConfig(max_iterations=500))
         assert rec.status == STATUS_NON_FINITE
         assert rec.iterations[-1] < 500
 
 
-def _solve(solver, w, b, cfg):
-    if solver == "sirt":
-        return sirt_solve(w, b, cfg)
-    return bicgstab_solve(normal_operator(w, 0.0), w.T @ b, cfg=cfg)
-
-
-@pytest.mark.parametrize("solver", ["sirt", "bicgstab"])
+@pytest.mark.parametrize("solver", ["sirt", "bicgstab", "wmg-bicgstab"])
 class TestStopRule:
-    """Both solvers stop on the same triggers with the same status."""
+    """Every CLI solver stops on the same triggers with the same status."""
 
-    def test_zero_data_converges_at_iterate_zero(self, w16, solver):
+    @pytest.fixture
+    def solve(self, w16, solver):
+        g, w = w16
+        return setup_solve(solver, w, g, 0.0, 2)
+
+    def test_zero_data_converges_at_iterate_zero(self, w16, solve):
         _, w = w16
-        x, rec = _solve(solver, w, np.zeros(w.shape[0]), SolverConfig())
+        x, rec = solve(np.zeros(w.shape[0]), SolverConfig())
         assert rec.status == STATUS_CONVERGED
         assert rec.iterations == [0] and rec.rel_residual == [1.0]
         np.testing.assert_array_equal(x, 0.0)
 
     def test_zero_iterations_log_only_iterate_zero(self, w16, phantom16,
-                                                   solver):
+                                                   solve):
         _, w = w16
-        x, rec = _solve(solver, w, w @ phantom16,
-                        SolverConfig(max_iterations=0))
+        x, rec = solve(w @ phantom16, SolverConfig(max_iterations=0))
         assert rec.status == STATUS_MAX_ITERATIONS
         assert rec.iterations == [0] and rec.rel_residual == [1.0]
         np.testing.assert_array_equal(x, 0.0)
 
-    def test_nan_in_data_is_non_finite(self, w16, phantom16, solver):
+    def test_nan_in_data_is_non_finite(self, w16, phantom16, solve):
         _, w = w16
         b = w @ phantom16
         b[5] = np.nan
-        _, rec = _solve(solver, w, b, SolverConfig())
+        _, rec = solve(b, SolverConfig())
         assert rec.status == STATUS_NON_FINITE
         assert rec.iterations == [0]
 
     def test_tolerance_above_one_stops_at_iterate_zero(self, w16, phantom16,
-                                                        solver):
+                                                        solve):
         # iterate 0 has relative residual 1.0, already below the tolerance
         _, w = w16
         cfg = SolverConfig(max_iterations=10, residual_tolerance=2.0)
-        _, rec = _solve(solver, w, w @ phantom16, cfg)
+        _, rec = solve(w @ phantom16, cfg)
         assert rec.status == STATUS_CONVERGED
         assert rec.iterations == [0]
 
-    def test_tolerance_converges(self, w16, phantom16, solver):
+    def test_tolerance_converges(self, w16, phantom16, solve):
         _, w = w16
         cfg = SolverConfig(max_iterations=500, residual_tolerance=0.5)
-        _, rec = _solve(solver, w, w @ phantom16, cfg)
+        _, rec = solve(w @ phantom16, cfg)
         assert rec.status == STATUS_CONVERGED
         assert rec.rel_residual[-1] < 0.5 <= min(rec.rel_residual[:-1])
         assert len(rec.iterations) < 501
