@@ -27,8 +27,8 @@ from .geometry import Geometry, build_projector
 from .multilevel import build_wmg_hierarchy, check_levels, wmg_preconditioner
 from .phantom import add_noise, shepp_logan
 from .solvers import (STATUS_NON_FINITE, ConvergenceRecord, SolverConfig,
-                      bicgstab_solve, check_nonneg, normal_operator,
-                      sirt_solve)
+                      bicgstab_solve, check_dense_dim, check_nonneg,
+                      normal_operator, sirt_solve)
 from .spectral import preconditioned_spectrum, sirt_spectrum
 from .sparse_kernels import (DimensionMismatchError, NotPositiveDefiniteError)
 
@@ -220,6 +220,7 @@ def cmd_spectrum(args) -> int:
     if args.modes > args.n ** 2:
         raise CliError(f"--modes {args.modes} exceeds the {args.n ** 2} "
                        f"eigenmodes of a {args.n}-by-{args.n} image")
+    check_dense_dim(args.n ** 2)  # every operator is dense n^2-by-n^2
     g = Geometry(args.n, args.n if args.detectors is None
                  else args.detectors, args.angles)
     w = build_projector(g)

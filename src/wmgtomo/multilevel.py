@@ -116,12 +116,6 @@ def _row_range(c: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
                          shape=(hi - lo, c.shape[1]), copy=False)
 
 
-def _add_gram(g: np.ndarray, c: sp.csr_matrix):
-    """g += c^T c, touching only the product's nonzeros."""
-    h = (c.T @ c).tocoo()
-    g[h.row, h.col] += h.data
-
-
 def _coarse_gram(p: sp.csr_matrix, r_t: sp.csr_matrix, side: int,
                  lam: float, rays: tuple) -> np.ndarray:
     """Dense P_b^T P_b + lambda I of the coarsest factor P_b = p r_t.
@@ -139,45 +133,15 @@ def _coarse_gram(p: sp.csr_matrix, r_t: sp.csr_matrix, side: int,
     g = dense_normal(_row_range(c, 0, q_end), 0.0)
     # (R H R)[i, j] = H[R i, R j] reverses both indices
     g += g[::-1, ::-1]
-    _add_gram(g, _row_range(c, q_end, m_end))
+    g += dense_normal(_row_range(c, q_end, m_end), 0.0)
     # an image index is (y, x), so (F H F)[i, j] = H[F i, F j] reverses the
     # x axis of both indices
     quad = g.reshape(side, side, side, side)
     quad += quad[:, ::-1, :, ::-1]
-    _add_gram(g, _row_range(c, m_end, c.shape[0]))
+    g += dense_normal(_row_range(c, m_end, c.shape[0]), 0.0)
     if lam != 0:
         g[np.diag_indices_from(g)] += lam
     return g
-
-
-def _coarse_node(p: sp.csr_matrix, r_t: sp.csr_matrix, side: int,
-                 level: int, lam: float, path: str, rays: tuple) -> WmgNode:
-    try:
-        solve = cholesky_factor(_coarse_gram(p, r_t, side, lam, rays))
-    except NotPositiveDefiniteError as exc:
-        raise NotPositiveDefiniteError(
-            f"coarsest subproblem '{path}' is singular "
-            f"(lambda={lam}): {exc}") from exc
-    # the factor is only needed to assemble the Gram matrix
-    return WmgNode(side=side, level=level, path=path, factor=None, lam=lam,
-                   coarse_solve=solve)
-
-
-def _build_node(p: sp.csr_matrix, side: int, level: int, levels: int,
-                lam: float, path: str, rays: tuple) -> WmgNode:
-    node = WmgNode(side=side, level=level, path=path, factor=p, lam=lam,
-                   intergrid=build_intergrid_set(side))
-    for band in BAND_IDS:
-        r_t = node.intergrid[band].T
-        child_path = f"{path}/{band}" if path else band
-        if level + 1 == levels:
-            child = _coarse_node(p, r_t, side // 2, level + 1, lam,
-                                 child_path, rays)
-        else:
-            child = _build_node(spgemm(p, r_t), side // 2, level + 1, levels,
-                                lam, child_path, rays)
-        node.children[band] = child
-    return node
 
 
 def check_levels(n: int, levels: int):
@@ -203,8 +167,29 @@ def build_wmg_hierarchy(w: sp.spmatrix, g: Geometry, lam: float,
     check_nonneg(lam, "lambda")
     w = w.tocsr()
     check_projector(w, g)
-    return WmgHierarchy(root=_build_node(w, n, 1, levels, lam, "",
-                                         gram_rows(g)))
+    rays = gram_rows(g)
+
+    def build(p, r_t, side, level, path):
+        """The node whose factor is p r_t (p itself when r_t is None)."""
+        if level == levels:
+            try:
+                solve = cholesky_factor(_coarse_gram(p, r_t, side, lam, rays))
+            except NotPositiveDefiniteError as exc:
+                raise NotPositiveDefiniteError(
+                    f"coarsest subproblem '{path}' is singular "
+                    f"(lambda={lam}): {exc}") from exc
+            # the factor is only needed to assemble the Gram matrix
+            return WmgNode(side=side, level=level, path=path, factor=None,
+                           lam=lam, coarse_solve=solve)
+        p = p if r_t is None else spgemm(p, r_t)
+        grids = build_intergrid_set(side)
+        return WmgNode(side=side, level=level, path=path, factor=p, lam=lam,
+                       intergrid=grids, children={
+                           band: build(p, grids[band].T, side // 2, level + 1,
+                                       f"{path}/{band}" if path else band)
+                           for band in BAND_IDS})
+
+    return WmgHierarchy(root=build(w, None, n, 1, ""))
 
 
 def _solve_node(node: WmgNode, r: np.ndarray) -> np.ndarray:

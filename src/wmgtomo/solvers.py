@@ -97,6 +97,13 @@ def sirt_scaling(w: sp.spmatrix) -> SirtScaling:
     return SirtScaling(c=c, r=r)
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v||, inf or NaN without a RuntimeWarning when it overflows: _stop
+    reports a non-finite residual norm as a status."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.linalg.norm(v)
+
+
 def _stop(record: ConvergenceRecord, tol: float, x_ex, t0: float,
           res_norm0: float, k: int, x: np.ndarray, r: np.ndarray,
           solved: bool = False) -> bool:
@@ -104,7 +111,7 @@ def _stop(record: ConvergenceRecord, tol: float, x_ex, t0: float,
     the run stops there, as non-finite for a NaN or infinite relative
     residual (initial norm at k = 0), or as converged for a zero initial
     residual, one below a positive tolerance, or a system found `solved`."""
-    rel = np.linalg.norm(r) / res_norm0 if k else 1.0
+    rel = _norm(r) / res_norm0 if k else 1.0
     err2, errinf = (None, None) if x_ex is None else error_metrics(x, x_ex)
     record.log(k, rel, err2, errinf, time.perf_counter() - t0)
     if not np.isfinite(rel if k else res_norm0):
@@ -133,7 +140,7 @@ def sirt_solve(w: sp.spmatrix, b: np.ndarray, lam: float,
     t0 = time.perf_counter()
     res = b - w @ x
     stop = partial(_stop, record, cfg.residual_tolerance, x_ex, t0,
-                   np.linalg.norm(res))
+                   _norm(res))
     if stop(0, x, res):
         return x, record
 
@@ -201,13 +208,12 @@ def bicgstab_solve(op: Callable[[np.ndarray], np.ndarray], f: np.ndarray,
     record = ConvergenceRecord()
     t0 = time.perf_counter()
     r = f - op(x)
-    res_norm0 = np.linalg.norm(r)
+    res_norm0 = _norm(r)
     stop = partial(_stop, record, cfg.residual_tolerance, x_ex, t0, res_norm0)
     if stop(0, x, r):
         return x, record
 
-    r_hat = r.copy()
-    r_hat_norm = np.linalg.norm(r_hat)
+    r_hat, r_hat_norm = r.copy(), res_norm0
     rho_prev = alpha = omega = 1.0
     v = p = np.zeros_like(r)
 

@@ -167,6 +167,14 @@ class TestProjectCommand:
         assert code == EXIT_ARG_ERROR
         assert not sino.exists()
 
+    def test_non_square_image_rejected(self, tmp_path):
+        img, sino = tmp_path / "img.bin", tmp_path / "s.bin"
+        write_grid(img, np.ones(8 * 6), 8, 6)
+        code = run("project", "--image", img, "--angles", 4,
+                   "--detectors", 8, "--out", sino)
+        assert code == EXIT_ARG_ERROR
+        assert not sino.exists()
+
     def test_missing_file_is_arg_error(self, tmp_path):
         code = run("project", "--image", tmp_path / "nope.bin",
                    "--angles", 4, "--detectors", 8, "--out", tmp_path / "s")
@@ -346,6 +354,18 @@ class TestReconstructCommand:
                    "--log", tmp / "conv3.csv") == 0
         assert read_manifest(out3)["levels"] == "3"
 
+    def test_pgm_preview(self, small_problem):
+        _, sino, tmp = small_problem
+        pgm = tmp / "x.pgm"
+        assert run("reconstruct", "--sino", sino, "--n", 16, "--angles", 24,
+                   "--detectors", 24, "--solver", "bicgstab", "--iters", 3,
+                   "--out", tmp / "x.bin", "--log", tmp / "l",
+                   "--pgm", pgm) == 0
+        header = b"P5\n16 16\n255\n"
+        data = pgm.read_bytes()
+        assert data.startswith(header)
+        assert len(data) == len(header) + 16 * 16
+
     def test_iters_zero_writes_zero_image(self, small_problem):
         ph, sino, tmp = small_problem
         out, log = tmp / "x.bin", tmp / "conv.csv"
@@ -395,6 +415,7 @@ class TestReconstructCommand:
         assert code == EXIT_ARG_ERROR
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("solver", ["sirt", "bicgstab", "wmg-bicgstab"])
     def test_overflowing_sinogram_is_numerical_error(self, small_problem,
                                                      solver):
@@ -427,6 +448,18 @@ class TestReconstructCommand:
         code = run("reconstruct", "--sino", sino, "--n", 16, "--angles", 24,
                    "--detectors", 24, "--solver", "bicgstab", "--iters", iters,
                    option, value, "--out", out, "--log", tmp / "l")
+        assert code == EXIT_ARG_ERROR
+        assert not out.exists()
+
+    def test_xexact_size_mismatch_rejected_before_projecting(
+            self, small_problem, monkeypatch):
+        _, sino, tmp = small_problem
+        monkeypatch.setattr(cli, "build_projector", _no_projector)
+        ph8, out = tmp / "ph8.bin", tmp / "x.bin"
+        run("phantom", "--n", 8, "--out", ph8)
+        code = run("reconstruct", "--sino", sino, "--n", 16, "--angles", 24,
+                   "--detectors", 24, "--solver", "sirt", "--iters", 5,
+                   "--xexact", ph8, "--out", out, "--log", tmp / "l")
         assert code == EXIT_ARG_ERROR
         assert not out.exists()
 
@@ -490,8 +523,9 @@ class TestSpectrumCommand:
         assert "condition_number=" in manifest
 
     @pytest.mark.parametrize("operator", ["normal", "sirt-s"])
-    def test_dense_guard(self, tmp_path, operator):
-        # N = 82^2 = 6724 exceeds the 6400 guard; refused before allocating
+    def test_dense_guard(self, tmp_path, monkeypatch, operator):
+        # N = 82^2 = 6724 exceeds the 6400 guard; refused before projecting
+        monkeypatch.setattr(cli, "build_projector", _no_projector)
         out = tmp_path / "spec.csv"
         assert run("spectrum", "--n", 82, "--angles", 4, "--operator",
                    operator, "--out", out) == EXIT_ARG_ERROR

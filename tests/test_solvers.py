@@ -232,6 +232,39 @@ class TestBicgstab:
                                 cfg=SolverConfig(max_iterations=10))
         assert rec.status == STATUS_BREAKDOWN
 
+    def test_rho_breakdown_after_iterate_one(self):
+        # iterate 1 solves the system exactly, so r_hat . r = 0 when
+        # iteration 2 begins; an iteration budget of 1 never reaches that test
+        a = np.array([[-1.0, 0.0], [-1.0, 2.0]])
+        f = np.array([2.0, 0.0])
+        for iters, status in ((1, STATUS_MAX_ITERATIONS),
+                              (10, STATUS_BREAKDOWN)):
+            applies = []
+
+            def op(v):
+                applies.append(v)
+                return a @ v
+
+            x, rec = bicgstab_solve(op, f, SolverConfig(max_iterations=iters))
+            assert rec.status == status
+            assert rec.iterations == [0, 1]
+            np.testing.assert_array_equal(x, [-2.0, -1.0])
+            # the initial residual and iteration 1's two applies: the rho
+            # test stops iteration 2 before it applies the operator
+            assert len(applies) == 3
+
+    def test_omega_breakdown_after_iterate_one(self):
+        # t . s = 0 in iteration 1: omega vanishes after iterate 1 is
+        # logged, so the breakdown is flagged even within a budget of 1
+        a = np.array([[-2.0, -1.0], [-1.0, 0.0]])
+        f = np.array([-2.0, -2.0])
+        x, rec = bicgstab_solve(lambda v: a @ v, f,
+                                SolverConfig(max_iterations=1))
+        assert rec.status == STATUS_BREAKDOWN
+        assert rec.iterations == [0, 1]
+        assert rec.rel_residual == [1.0, 0.5]
+        np.testing.assert_array_equal(x, [1.0, 1.0])
+
     def test_infinite_preconditioner_output_is_non_finite(self):
         # v = inf makes the alpha denominator +inf, which the breakdown test
         # alone would report as a breakdown
