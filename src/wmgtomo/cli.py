@@ -157,6 +157,33 @@ def cmd_project(args) -> int:
     return 0
 
 
+def mem_available():
+    """MemAvailable in bytes from /proc/meminfo, or None where that file
+    cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def check_memory(g: Geometry, levels: int):
+    """Refuse a wmg-bicgstab setup whose estimated memory exceeds what the
+    system has available: W at 12 bytes per entry and at most 2n entries
+    per ray, 8 N_c^2 bytes of dense factor for each of the 4^(levels-1)
+    coarsest nodes of side N_c, and one more for the Gram being built."""
+    n = g.n_pixels_per_side
+    dense = 8 * ((n >> (levels - 1)) ** 2) ** 2
+    need = 12 * g.n_data * 2 * n + dense * (4 ** (levels - 1) + 1)
+    available = mem_available()
+    if available is not None and need > available:
+        raise CliError(f"wmg-bicgstab needs about {need / 2 ** 20:.0f} MB, "
+                       f"but only {available / 2 ** 20:.0f} MB is available")
+
+
 def setup_solve(solver, w, g, lam, levels):
     """Set `solver` up once on scan g's projector w at Tikhonov weight lam
     (for wmg-bicgstab, with a `levels`-level V-cycle). Returns
@@ -179,8 +206,10 @@ def cmd_reconstruct(args) -> int:
     if args.solver != "wmg-bicgstab" and args.levels is not None:
         raise CliError("--levels requires --solver wmg-bicgstab")
     levels = 3 if args.levels is None else args.levels
+    g = Geometry(args.n, args.detectors, args.angles)
     if args.solver == "wmg-bicgstab":
         check_levels(args.n, levels)
+        check_memory(g, levels)
     cfg = SolverConfig(max_iterations=args.iters, residual_tolerance=args.tol)
     check_nonneg(args.regularization, "lambda")
     x_ex = None
@@ -188,7 +217,6 @@ def cmd_reconstruct(args) -> int:
         x_ex, xr, xc = read_grid(args.xexact)
         if xr != args.n or xc != args.n:
             raise CliError("--xexact image does not match --n")
-    g = Geometry(args.n, args.detectors, args.angles)
     w = build_projector(g)
     solve = setup_solve(args.solver, w, g, args.regularization, levels)
     x, record = solve(b, cfg, x_ex)

@@ -110,7 +110,8 @@ def _stop(record: ConvergenceRecord, tol: float, x_ex, t0: float,
     """Both solvers' stop rule: log iterate k (residual r) and say whether
     the run stops there, as non-finite for a NaN or infinite relative
     residual (initial norm at k = 0), or as converged for a zero initial
-    residual, one below a positive tolerance, or a system found `solved`."""
+    residual, one below a positive tolerance, or a system found `solved`
+    (a zero residual of the solved system at k >= 1 included)."""
     rel = _norm(r) / res_norm0 if k else 1.0
     err2, errinf = (None, None) if x_ex is None else error_metrics(x, x_ex)
     record.log(k, rel, err2, errinf, time.perf_counter() - t0)
@@ -150,7 +151,8 @@ def sirt_solve(w: sp.spmatrix, b: np.ndarray, lam: float,
             update -= lam * (scaling.c * x)
         x += update
         res = b - w @ x
-        if stop(k, x, res):
+        # with lambda > 0, b - W x is not the residual of the solved system
+        if stop(k, x, res, solved=lam == 0 and not res.any()):
             break
     return x, record
 
@@ -254,7 +256,7 @@ def bicgstab_solve(op: Callable[[np.ndarray], np.ndarray], f: np.ndarray,
         x = x + alpha * p_hat + omega * s_hat
         r = s - omega * t
         rho_prev = rho
-        if stop(k, x, r):
+        if stop(k, x, r, solved=not r.any()):
             return x, record
         if abs(omega) < BREAKDOWN_REL_TOL:
             record.status = STATUS_BREAKDOWN

@@ -396,6 +396,27 @@ class TestReconstructCommand:
         assert len(rows) < 101
         assert float(rows[-1]["rel_res"]) < 0.05
 
+    def test_memory_preflight_refuses_before_projecting(self, small_problem,
+                                                        monkeypatch):
+        # 16^2, 24 x 24 rays, levels 2: W at 12 * 576 * 32 bytes and five
+        # dense 64^2 blocks come to 385,024 bytes
+        _, sino, tmp = small_problem
+        argv = ("reconstruct", "--sino", sino, "--n", 16, "--angles", 24,
+                "--detectors", 24, "--solver", "wmg-bicgstab", "--levels", 2,
+                "--lambda", 1.0, "--iters", 2, "--log", tmp / "l")
+        monkeypatch.setattr(cli, "mem_available", lambda: 385_023)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_projector", _no_projector)
+            assert run(*argv, "--out", tmp / "refused.bin") == EXIT_ARG_ERROR
+        assert not (tmp / "refused.bin").exists()
+        for available in (385_024, None):
+            monkeypatch.setattr(cli, "mem_available", lambda: available)
+            assert run(*argv, "--out", tmp / "x.bin") == 0
+
+    def test_memory_preflight_reads_meminfo(self):
+        available = cli.mem_available()
+        assert available is None or available > 0
+
     def test_sinogram_shape_mismatch_rejected(self, small_problem):
         _, sino, tmp = small_problem
         code = run("reconstruct", "--sino", sino, "--n", 16, "--angles", 10,

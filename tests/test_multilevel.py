@@ -209,9 +209,8 @@ class TestMirroredCoarseGram:
         h = build_wmg_hierarchy(build_projector(g), g, lam, levels)
         nodes = 0
         for node, p in coarse_pairs(h):
-            lower = node.coarse_solve.lower
             ref = dense_normal(p, 0.0)
-            got = lower @ lower.T - lam * np.eye(node.dim)
+            got = node.coarse_solve.matrix() - lam * np.eye(node.dim)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
             nodes += 1
         assert nodes == 4 ** (levels - 1)
@@ -229,9 +228,8 @@ class TestMirroredCoarseGram:
         for levels in (2, 3) if n % 4 == 0 else (2,):
             h = build_wmg_hierarchy(w, g, lam, levels)
             for node, p in coarse_pairs(h):
-                lower = node.coarse_solve.lower
                 ref = dense_normal(p, 0.0)
-                got = lower @ lower.T - lam * np.eye(node.dim)
+                got = node.coarse_solve.matrix() - lam * np.eye(node.dim)
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("lam", [1.0, 2.5])
@@ -248,12 +246,54 @@ class TestMirroredCoarseGram:
             assert np.array_equal(node.coarse_solve.lower, want)
 
 
+class TestSectorCoarseSolves:
+    """A coarsest Gram that commutes with the coarse x-flip F and the
+    180-degree rotation R is stored as four sector blocks; one whose
+    boundary rays break that symmetry, or of odd side, keeps one factor."""
+
+    @staticmethod
+    def solve_gaps(h, lam):
+        """(stored factor shape, max relative solve gap against
+        dense_normal) for each coarsest node."""
+        rng = np.random.default_rng(8)
+        out = []
+        for node, p in coarse_pairs(h):
+            r = rng.standard_normal(node.dim)
+            want = np.linalg.solve(dense_normal(p, lam), r)
+            gap = np.abs(node.coarse_solve.solve(r) - want).max()
+            out.append((node.coarse_solve.lower.shape,
+                        gap / np.abs(want).max()))
+        return out
+
+    def test_benchmark_like_scan_splits_every_node(self, w16):
+        g, w = w16
+        gaps = self.solve_gaps(build_wmg_hierarchy(w, g, 1.0, 3), 1.0)
+        assert [shape for shape, _ in gaps] == [(4, 4, 4)] * 16
+        assert max(gap for _, gap in gaps) <= 1e-12
+
+    @pytest.mark.parametrize("g", [Geometry(16, 15, 6), Geometry(8, 3, 6)])
+    def test_asymmetric_boundary_rays_keep_one_factor(self, g):
+        # integer detector offsets on an even grid: boundary rays give
+        # their whole length to one side, so some Grams do not commute
+        h = build_wmg_hierarchy(build_projector(g), g, 1.0, 2)
+        gaps = self.solve_gaps(h, 1.0)
+        assert any(len(shape) == 2 for shape, _ in gaps)
+        assert max(gap for _, gap in gaps) <= 1e-12
+
+    def test_odd_coarsest_side_keeps_one_factor(self):
+        g = Geometry(10, 12, 8)
+        assert gram_rows(g)[0].size
+        h = build_wmg_hierarchy(build_projector(g), g, 1.0, 2)
+        gaps = self.solve_gaps(h, 1.0)
+        assert [shape for shape, _ in gaps] == [(25, 25)] * 4
+        assert max(gap for _, gap in gaps) <= 1e-12
+
+
 def child_apply(h, band, v):
     node = h.root.children[band]
     if node.is_coarsest:
         # recover the operator action from the cached factorization
-        lower = node.coarse_solve.lower
-        return lower @ (lower.T @ v)
+        return node.coarse_solve.matrix() @ v
     return node.apply_system(v)
 
 

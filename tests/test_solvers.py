@@ -96,6 +96,17 @@ class TestSirtSolve:
             with pytest.raises(ValueError, match="lambda"):
                 sirt_solve(w, w @ phantom16, bad, SolverConfig())
 
+    def test_zero_residual_converges_only_without_lambda(self):
+        # W = [1], b = 1: iterate 1 is x = 1 and b - W x = 0, the solution
+        # at lambda = 0 but not of the regularized system at lambda > 0
+        w = sp.csr_matrix(np.array([[1.0]]))
+        for lam, status in ((0.0, STATUS_CONVERGED),
+                            (0.5, STATUS_MAX_ITERATIONS)):
+            _, rec = sirt_solve(w, np.ones(1), lam,
+                                SolverConfig(max_iterations=3))
+            assert rec.rel_residual[1] == 0.0
+            assert rec.status == status
+
     def test_divergence_stops_as_non_finite(self):
         # W = [1], lambda = 1e3: x <- 1 - 1e3 x grows until it overflows
         w = sp.csr_matrix(np.array([[1.0]]))
@@ -232,11 +243,33 @@ class TestBicgstab:
                                 cfg=SolverConfig(max_iterations=10))
         assert rec.status == STATUS_BREAKDOWN
 
-    def test_rho_breakdown_after_iterate_one(self):
-        # iterate 1 solves the system exactly, so r_hat . r = 0 when
-        # iteration 2 begins; an iteration budget of 1 never reaches that test
+    def test_exact_solution_at_iterate_one_converges(self):
+        # iterate 1 solves the system exactly: a zero residual counts as
+        # converged at any iterate, as at iterate 0, also at tolerance 0,
+        # so iteration 2 never reaches its rho test
         a = np.array([[-1.0, 0.0], [-1.0, 2.0]])
         f = np.array([2.0, 0.0])
+        for iters in (1, 10):
+            applies = []
+
+            def op(v):
+                applies.append(v)
+                return a @ v
+
+            x, rec = bicgstab_solve(op, f, SolverConfig(max_iterations=iters))
+            assert rec.status == STATUS_CONVERGED
+            assert rec.iterations == [0, 1]
+            assert rec.rel_residual == [1.0, 0.0]
+            np.testing.assert_array_equal(x, [-2.0, -1.0])
+            # the initial residual and iteration 1's two applies
+            assert len(applies) == 3
+
+    def test_rho_breakdown_after_iterate_one(self):
+        # r_hat . r = 0 when iteration 2 begins, with iterate 1 unsolved
+        # (omega = -0.4); an iteration budget of 1 never reaches that test
+        a = np.array([[-2.0, -2.0, -1.0], [0.0, -2.0, 0.0],
+                      [-1.0, 0.0, -2.0]])
+        f = np.array([0.0, 1.0, 0.0])
         for iters, status in ((1, STATUS_MAX_ITERATIONS),
                               (10, STATUS_BREAKDOWN)):
             applies = []
@@ -248,7 +281,8 @@ class TestBicgstab:
             x, rec = bicgstab_solve(op, f, SolverConfig(max_iterations=iters))
             assert rec.status == status
             assert rec.iterations == [0, 1]
-            np.testing.assert_array_equal(x, [-2.0, -1.0])
+            assert rec.rel_residual[1] == pytest.approx(1 / np.sqrt(5),
+                                                        rel=1e-12)
             # the initial residual and iteration 1's two applies: the rho
             # test stops iteration 2 before it applies the operator
             assert len(applies) == 3
