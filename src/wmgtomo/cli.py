@@ -8,7 +8,8 @@ key=value manifest; re-running from the same parameters reproduces all
 non-timing outputs bit-for-bit.
 
 Exit codes: 0 success, 2 argument/file errors (non-finite input values
-included), 3 numerical failure.
+included), 3 numerical failure (a solver's breakdown or non-finite stop
+included).
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from . import __version__
 from .geometry import Geometry, build_projector
 from .multilevel import build_wmg_hierarchy, check_levels, wmg_preconditioner
 from .phantom import add_noise, shepp_logan
-from .solvers import (STATUS_NON_FINITE, ConvergenceRecord, SolverConfig,
-                      bicgstab_solve, check_dense_dim, check_nonneg,
-                      normal_operator, sirt_solve)
+from .solvers import (STATUS_BREAKDOWN, STATUS_NON_FINITE,
+                      ConvergenceRecord, SolverConfig, bicgstab_solve,
+                      check_dense_dim, check_nonneg, normal_operator,
+                      sirt_solve)
 from .spectral import preconditioned_spectrum, sirt_spectrum
 from .sparse_kernels import (DimensionMismatchError, NotPositiveDefiniteError)
 
@@ -171,13 +173,19 @@ def mem_available():
 
 
 def check_memory(g: Geometry, levels: int):
-    """Refuse a wmg-bicgstab setup whose estimated memory exceeds what the
-    system has available: W at 12 bytes per entry and at most 2n entries
-    per ray, 8 N_c^2 bytes of dense factor for each of the 4^(levels-1)
-    coarsest nodes of side N_c, and one more for the Gram being built."""
+    """Refuse a wmg-bicgstab setup whose estimated peak memory exceeds what
+    the system has available. A line crosses at most 2s cells of an s-by-s
+    grid, so W holds at most 2n entries per ray, at 12 bytes each. The peak
+    is the larger of the projector build (34 bytes per entry, about 2.8 W)
+    and the hierarchy: W, the internal nodes' factors (level l's add at most
+    2^(l-1) W), 8 N_c^2 bytes of unsplit dense factor for each of the
+    4^(levels-1) coarsest nodes of side N_c, and one more for the Gram
+    being built."""
     n = g.n_pixels_per_side
+    entries = g.n_data * 2 * n
     dense = 8 * ((n >> (levels - 1)) ** 2) ** 2
-    need = 12 * g.n_data * 2 * n + dense * (4 ** (levels - 1) + 1)
+    need = max(34 * entries, 12 * entries * (2 ** (levels - 1) - 1)
+               + dense * (4 ** (levels - 1) + 1))
     available = mem_available()
     if available is not None and need > available:
         raise CliError(f"wmg-bicgstab needs about {need / 2 ** 20:.0f} MB, "
@@ -220,10 +228,10 @@ def cmd_reconstruct(args) -> int:
     w = build_projector(g)
     solve = setup_solve(args.solver, w, g, args.regularization, levels)
     x, record = solve(b, cfg, x_ex)
-    if record.status == STATUS_NON_FINITE:
-        print(f"numerical failure: {args.solver} stopped after iteration "
-              f"{record.iterations[-1]} on a NaN or infinite residual "
-              f"norm or scalar", file=sys.stderr)
+    if record.status in (STATUS_NON_FINITE, STATUS_BREAKDOWN):
+        print(f"numerical failure: {args.solver} stopped with status "
+              f"{record.status} after iteration {record.iterations[-1]}",
+              file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
 
     write_grid(args.out, x, args.n, args.n)

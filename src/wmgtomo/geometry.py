@@ -165,20 +165,3 @@ def build_projector(g: Geometry) -> sp.csr_matrix:
     w.sum_duplicates()  # sorts each ray's columns, given in traversal order
     return w
 
-
-def apply(w: sp.spmatrix, x: np.ndarray) -> np.ndarray:
-    """Forward projection W x (sinogram from image)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != w.shape[1]:
-        raise DimensionMismatchError(
-            f"apply: vector length {x.shape[0]} != n_cols {w.shape[1]}")
-    return w @ x
-
-
-def apply_transpose(w: sp.spmatrix, y: np.ndarray) -> np.ndarray:
-    """Backprojection W^T y (image from sinogram); W^T W is never formed."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape[0] != w.shape[0]:
-        raise DimensionMismatchError(
-            f"apply_transpose: vector length {y.shape[0]} != n_rows {w.shape[0]}")
-    return w.T @ y

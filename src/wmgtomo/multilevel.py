@@ -39,37 +39,16 @@ from .solvers import (check_dense_dim, check_nonneg, dense_normal,
 BAND_IDS = ("LL", "LH", "HL", "HH")
 
 
-def _check_even(n: int):
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"grid side must be even and >= 2, got {n}")
-
-
-def haar_scaling_1d(n: int) -> sp.csr_matrix:
-    """(n/2)-by-n averaging operator: row k = 1/sqrt(2) at columns 2k, 2k+1."""
-    _check_even(n)
-    half = n // 2
-    rows = np.repeat(np.arange(half), 2)
-    cols = np.arange(n)
-    vals = np.full(n, 1.0 / np.sqrt(2.0))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(half, n))
-
-
-def haar_wavelet_1d(n: int) -> sp.csr_matrix:
-    """(n/2)-by-n differencing operator: row k = 1/sqrt(2) * (1, -1) at 2k, 2k+1."""
-    _check_even(n)
-    half = n // 2
-    rows = np.repeat(np.arange(half), 2)
-    cols = np.arange(n)
-    vals = np.tile([1.0, -1.0], half) / np.sqrt(2.0)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(half, n))
-
-
 def build_intergrid_set(n: int) -> dict:
     """The four orthonormal (n^2/4)-by-n^2 restrictions of one coarsening
     step, keyed by band id: Kronecker products of the 1D Haar operators."""
-    _check_even(n)
-    s = haar_scaling_1d(n)
-    j = haar_wavelet_1d(n)
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"grid side must be even and >= 2, got {n}")
+    # the (n/2)-by-n scaling (s) and wavelet (j) filters: row k holds
+    # (1, sign) / sqrt(2) at columns 2k and 2k+1
+    s, j = (sp.csr_matrix((np.tile([1.0, sign], n // 2) / np.sqrt(2.0),
+                           np.arange(n), np.arange(0, n + 1, 2)),
+                          shape=(n // 2, n)) for sign in (1.0, -1.0))
     # kron(row factor, col factor): the first factor acts along y (rows)
     return {
         "LL": sp.kron(s, s, format="csr"),

@@ -71,30 +71,16 @@ class ConvergenceRecord:
         self.seconds.append(float(secs))
 
 
-def find_kopt(record: ConvergenceRecord) -> int:
-    """First iteration index attaining the minimum relative L2 error."""
-    if not record.rel_err_l2 or None in record.rel_err_l2:
-        raise ValueError("record has no error data; solve with x_ex provided")
-    errs = np.asarray(record.rel_err_l2, dtype=np.float64)
-    return int(record.iterations[int(np.argmin(errs))])
-
-
-@dataclass(frozen=True)
-class SirtScaling:
-    """Inverse column sums (c, length N) and inverse row sums (r, length M) of W."""
-
-    c: np.ndarray
-    r: np.ndarray
-
-
-def sirt_scaling(w: sp.spmatrix) -> SirtScaling:
+def sirt_scaling(w: sp.spmatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse column sums c (length N) and inverse row sums r (length M)
+    of W, zero where a sum is zero."""
     w = w.tocsr()
     row_sums = np.asarray(w.sum(axis=1)).ravel()
     col_sums = np.asarray(w.sum(axis=0)).ravel()
     with np.errstate(divide="ignore"):
         r = np.where(row_sums > 0, 1.0 / row_sums, 0.0)
         c = np.where(col_sums > 0, 1.0 / col_sums, 0.0)
-    return SirtScaling(c=c, r=r)
+    return c, r
 
 
 def _norm(v: np.ndarray) -> float:
@@ -135,7 +121,7 @@ def sirt_solve(w: sp.spmatrix, b: np.ndarray, lam: float,
         raise DimensionMismatchError("sirt_solve: dimension mismatch")
     check_nonneg(lam, "lambda")
     x = np.zeros(w.shape[1])
-    scaling = sirt_scaling(w)
+    c, r = sirt_scaling(w)
 
     record = ConvergenceRecord()
     t0 = time.perf_counter()
@@ -146,9 +132,9 @@ def sirt_solve(w: sp.spmatrix, b: np.ndarray, lam: float,
         return x, record
 
     for k in range(1, cfg.max_iterations + 1):
-        update = scaling.c * (w.T @ (scaling.r * res))
+        update = c * (w.T @ (r * res))
         if lam > 0:
-            update -= lam * (scaling.c * x)
+            update -= lam * (c * x)
         x += update
         res = b - w @ x
         # with lambda > 0, b - W x is not the residual of the solved system

@@ -41,11 +41,11 @@ def _sorted_by_magnitude(vals, vecs=None):
 
 def _dense_sirt_iteration_matrix(w: sp.spmatrix, lam: float = 0.0) -> np.ndarray:
     check_dense_dim(w.shape[1])
-    scaling = sirt_scaling(w)
-    m = (w.T @ sp.diags(scaling.r) @ w).toarray()
+    c, r = sirt_scaling(w)
+    m = (w.T @ sp.diags(r) @ w).toarray()
     if lam != 0:
         m[np.diag_indices_from(m)] += lam
-    s = -scaling.c[:, None] * m
+    s = -c[:, None] * m
     s[np.diag_indices_from(s)] += 1.0
     return s
 

@@ -12,13 +12,12 @@ import numpy as np
 import pytest
 
 from wmgtomo.cli import main as cli_main, setup_solve
-from wmgtomo.geometry import Geometry, apply, apply_transpose, \
-    build_projector
+from wmgtomo.geometry import Geometry, build_projector
 from wmgtomo.multilevel import (BAND_IDS, build_intergrid_set,
                                 build_wmg_hierarchy, wmg_preconditioner,
                                 wtg_apply)
 from wmgtomo.phantom import add_noise, shepp_logan
-from wmgtomo.solvers import SolverConfig, bicgstab_solve, find_kopt
+from wmgtomo.solvers import SolverConfig, bicgstab_solve
 from wmgtomo.spectral import (dense_wtg_operator, preconditioned_spectrum,
                               sirt_spectrum)
 
@@ -208,9 +207,9 @@ def test_criterion_5_semi_convergence(bench, noisy_b, lam0_solves):
     kopts = {}
     for name, rec in recs.items():
         e = errs(rec)
-        k = find_kopt(rec)
-        kopts[name] = k
-        growth = e[rec.iterations.index(k):].max() / e.min() - 1.0
+        i = int(np.argmin(e))  # k_opt: the first iteration at the lowest error
+        k = kopts[name] = rec.iterations[i]
+        growth = e[i:].max() / e.min() - 1.0
         interior = 0 < k < rec.iterations[-1] and growth >= 0.10
         interior_ok = interior_ok and interior
         details.append(f"{name}: k_opt={k}, min={e.min():.4f}, "
@@ -237,8 +236,8 @@ def test_criterion_6_regularized_monotonicity(noisy_runs):
         ok = ok and excess <= 0.02
         details.append(f"{name}: max rise above running min "
                        f"{100 * excess:.2f}%, lowest err {e.min():.4f} at "
-                       f"iter {find_kopt(rec)}, last err {e[-1]:.4f} at "
-                       f"iter {rec.iterations[-1]}")
+                       f"iter {rec.iterations[np.argmin(e)]}, last err "
+                       f"{e[-1]:.4f} at iter {rec.iterations[-1]}")
     report(6, ok, "; ".join(details) + " (<=2%)")
 
 
@@ -292,8 +291,8 @@ def test_criterion_7_property_suites(w40):
     # adjoint identity of W
     x = rng.standard_normal(w.shape[1])
     y = rng.standard_normal(w.shape[0])
-    lhs = apply(w, x) @ y
-    if abs(lhs - x @ apply_transpose(w, y)) > 1e-12 * abs(lhs):
+    lhs = (w @ x) @ y
+    if abs(lhs - x @ (w.T @ y)) > 1e-12 * abs(lhs):
         failures.append("adjoint")
 
     # BiCGStab vs direct solve on random SPD 8x8

@@ -10,9 +10,11 @@ from wmgtomo import cli
 from wmgtomo.cli import (EXIT_ARG_ERROR, EXIT_NUMERICAL_ERROR, FORMAT_VERSION,
                          MAGIC, CliError, main, read_grid, setup_solve,
                          write_grid, write_pgm)
+from wmgtomo.geometry import Geometry, build_projector
 from wmgtomo.multilevel import build_wmg_hierarchy, wmg_preconditioner
 from wmgtomo.phantom import add_noise, shepp_logan
-from wmgtomo.solvers import (SolverConfig, bicgstab_solve, normal_operator,
+from wmgtomo.solvers import (STATUS_BREAKDOWN, ConvergenceRecord,
+                             SolverConfig, bicgstab_solve, normal_operator,
                              sirt_solve)
 
 
@@ -305,10 +307,17 @@ class TestSetupSolve:
 
     def test_equals_the_hand_assembled_solve(self, w16, phantom16, solver,
                                              lam):
-        g, w = w16
-        b = w @ phantom16
-        _same_solve(setup_solve(solver, w, g, lam, 2)(b, self.CFG, phantom16),
-                    _by_hand(solver, w, g, lam, b, self.CFG, phantom16))
+        # (16, 15, 6)'s boundary rays break the F/R symmetry, so its coarse
+        # Grams keep the single N-by-N factor; they are singular at lam = 0
+        scans = [w16]
+        if lam:
+            g = Geometry(16, 15, 6)
+            scans.append((g, build_projector(g)))
+        for g, w in scans:
+            b = w @ phantom16
+            _same_solve(
+                setup_solve(solver, w, g, lam, 2)(b, self.CFG, phantom16),
+                _by_hand(solver, w, g, lam, b, self.CFG, phantom16))
 
     def test_one_setup_serves_two_sinograms(self, w16, phantom16, solver,
                                             lam):
@@ -398,20 +407,33 @@ class TestReconstructCommand:
 
     def test_memory_preflight_refuses_before_projecting(self, small_problem,
                                                         monkeypatch):
-        # 16^2, 24 x 24 rays, levels 2: W at 12 * 576 * 32 bytes and five
-        # dense 64^2 blocks come to 385,024 bytes
+        # 16^2, 24 x 24 rays, levels 2: the projector build's 34 bytes for
+        # each of 576 * 32 entries, 626,688 bytes, exceed W's 221,184 plus
+        # five dense 64^2 blocks
         _, sino, tmp = small_problem
         argv = ("reconstruct", "--sino", sino, "--n", 16, "--angles", 24,
                 "--detectors", 24, "--solver", "wmg-bicgstab", "--levels", 2,
                 "--lambda", 1.0, "--iters", 2, "--log", tmp / "l")
-        monkeypatch.setattr(cli, "mem_available", lambda: 385_023)
+        monkeypatch.setattr(cli, "mem_available", lambda: 626_687)
         with monkeypatch.context() as m:
             m.setattr(cli, "build_projector", _no_projector)
             assert run(*argv, "--out", tmp / "refused.bin") == EXIT_ARG_ERROR
         assert not (tmp / "refused.bin").exists()
-        for available in (385_024, None):
+        for available in (626_688, None):
             monkeypatch.setattr(cli, "mem_available", lambda: available)
             assert run(*argv, "--out", tmp / "x.bin") == 0
+
+    def test_memory_estimate_covers_the_benchmark_peak(self, monkeypatch):
+        # 160^2, 400 x 160 rays, levels 3, the scan whose wmg-bicgstab run
+        # peaks at 619 MB RSS: W's 245,760,000 bytes, twice that for the
+        # level-2 factors and 17 dense 1600^2 blocks come to 1,085,440,000
+        # bytes (1035 MB, 1.67 times the peak), computed without projecting
+        g = Geometry(160, 160, 400)
+        monkeypatch.setattr(cli, "mem_available", lambda: 619 * 2 ** 20)
+        with pytest.raises(CliError, match="needs about 1035 MB"):
+            cli.check_memory(g, 3)
+        monkeypatch.setattr(cli, "mem_available", lambda: 1_085_440_000)
+        cli.check_memory(g, 3)
 
     def test_memory_preflight_reads_meminfo(self):
         available = cli.mem_available()
@@ -453,6 +475,26 @@ class TestReconstructCommand:
                        "--iters", iters, "--out", out, "--log", tmp / "l")
             assert code == EXIT_NUMERICAL_ERROR
             assert not out.exists()
+
+    def test_breakdown_is_numerical_error(self, small_problem, monkeypatch,
+                                          capsys):
+        _, sino, tmp = small_problem
+
+        def breaks_down(op, f, cfg, precond=None, x_ex=None):
+            record = ConvergenceRecord(status=STATUS_BREAKDOWN)
+            record.log(0, 1.0, None, None, 0.0)
+            record.log(1, 0.5, None, None, 0.0)
+            return np.zeros_like(f), record
+
+        monkeypatch.setattr(cli, "bicgstab_solve", breaks_down)
+        out = tmp / "x.bin"
+        assert run("reconstruct", "--sino", sino, "--n", 16, "--angles", 24,
+                   "--detectors", 24, "--solver", "bicgstab", "--iters", 5,
+                   "--out", out, "--log", tmp / "l") == EXIT_NUMERICAL_ERROR
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "numerical failure: bicgstab stopped with status breakdown "
+            "after iteration 1\n")
 
     @pytest.mark.parametrize("option,value,iters", [
         pytest.param("--lambda", "nan", 5, id="nan"),

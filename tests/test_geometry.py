@@ -3,9 +3,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from wmgtomo.geometry import (Geometry, _line_entries, _snapped_trig, apply,
-                              apply_transpose, build_projector,
-                              check_projector, gram_rows)
+from wmgtomo.geometry import (Geometry, _line_entries, _snapped_trig,
+                              build_projector, check_projector, gram_rows)
 from wmgtomo.sparse_kernels import DimensionMismatchError
 
 
@@ -140,7 +139,7 @@ def test_projector_rows_are_chords_and_transpose_is_adjoint(
     x = rng.standard_normal(g.n_image)
     y = rng.standard_normal(g.n_data)
     scale = np.abs(y) @ (abs(w) @ np.abs(x))
-    assert abs(apply(w, x) @ y - x @ apply_transpose(w, y)) <= 1e-13 * scale
+    assert abs((w @ x) @ y - x @ (w.T @ y)) <= 1e-13 * scale
 
 
 SCANS = dict(n=st.integers(1, 10), n_detectors=st.integers(1, 15),
@@ -281,21 +280,3 @@ class TestCheckProjector:
         with pytest.raises(DimensionMismatchError, match="rotation"):
             check_projector(broken.tocsr(), g)
 
-
-class TestApply:
-    def test_adjoint_identity(self, w40):
-        # <W x, y> == <x, W^T y> to near machine precision
-        g, w = w40
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal(g.n_image)
-        y = rng.standard_normal(g.n_data)
-        lhs = apply(w, x) @ y
-        rhs = x @ apply_transpose(w, y)
-        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
-
-    def test_dimension_checks(self, w16):
-        _, w = w16
-        with pytest.raises(DimensionMismatchError):
-            apply(w, np.ones(7))
-        with pytest.raises(DimensionMismatchError):
-            apply_transpose(w, np.ones(7))

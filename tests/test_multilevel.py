@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from wmgtomo.multilevel import (BAND_IDS, WmgHierarchy,
                                 build_intergrid_set, build_wmg_hierarchy,
-                                haar_scaling_1d, haar_wavelet_1d,
                                 wmg_preconditioner, wtg_apply)
 from wmgtomo.geometry import Geometry, build_projector, gram_rows
 from wmgtomo.solvers import (SolverConfig, bicgstab_solve, dense_normal,
@@ -18,16 +17,20 @@ from wmgtomo.sparse_kernels import (DimensionMismatchError,
 
 class TestHaar1d:
     def test_stencils(self):
-        s = haar_scaling_1d(4).toarray()
-        j = haar_wavelet_1d(4).toarray()
+        # on a 4-by-4 grid each band is the Kronecker product (y factor
+        # first) of the 1D scaling filter s and wavelet filter j
         c = 1.0 / np.sqrt(2.0)
-        np.testing.assert_allclose(s, [[c, c, 0, 0], [0, 0, c, c]])
-        np.testing.assert_allclose(j, [[c, -c, 0, 0], [0, 0, c, -c]])
+        s = np.array([[c, c, 0, 0], [0, 0, c, c]])
+        j = np.array([[c, -c, 0, 0], [0, 0, c, -c]])
+        grids = build_intergrid_set(4)
+        for band, (y, x) in {"LL": (s, s), "LH": (j, s), "HL": (s, j),
+                             "HH": (j, j)}.items():
+            np.testing.assert_allclose(grids[band].toarray(), np.kron(y, x))
 
     def test_rejects_odd(self):
         for bad in (1, 3, 0):
             with pytest.raises(ValueError):
-                haar_scaling_1d(bad)
+                build_intergrid_set(bad)
 
 
 def haar_identity_gaps(n):
