@@ -14,7 +14,7 @@ into four N/4 sector blocks (sparse_kernels.cholesky_factor): at 160^2
 and levels 3 the 16 factors take 82 MB instead of 328 MB. A scan without
 angle pairs, an odd coarsest side (no orbits of four), and a Gram whose
 boundary rays break the symmetry (integer detector offsets on an even
-grid, see geometry.gram_rows) keep the single N-by-N factor.
+grid, see geometry.gram_rows) keep the Gram as one N-by-N block.
 
 Subspace naming: images are row-major array[row, col] with row = y and
 col = x (see geometry module). A band name is (x-band, y-band), so LH means
@@ -64,8 +64,8 @@ class WmgNode:
 
     The node's system operator is v -> P^T (P v) + lambda v. Internal nodes
     keep the intergrid set for their side plus four children; coarsest nodes
-    keep a dense Cholesky factorization instead, whole or in four sector
-    blocks.
+    keep a dense Cholesky factorization instead, in one block or in four
+    sector blocks.
     """
 
     side: int
@@ -166,7 +166,7 @@ def build_wmg_hierarchy(w: sp.spmatrix, g: Geometry, lam: float,
     check_projector(w, g)
     rays = gram_rows(g)
     # every coarsest node has the same side; a scan without pairs keeps
-    # the unsplit factor, and so does an odd side, which has no orbits of 4
+    # one block, and so does an odd side, which has no orbits of 4
     coarse_side = n >> (levels - 1)
     orbits = (_sector_orbits(coarse_side)
               if rays[0].size and coarse_side % 2 == 0 else None)

@@ -43,16 +43,15 @@ def spgemm(a: sp.spmatrix, b: sp.spmatrix) -> sp.csr_matrix:
 
 @dataclass(frozen=True)
 class DenseFactorization:
-    """Cholesky factorization of a symmetric positive definite matrix G.
+    """Cholesky factorization of an SPD matrix G in k orbit-basis blocks.
 
-    `lower` holds what is stored: G's N-by-N lower factor, or, when
-    `orbits` is set, the (4, N/4, N/4) stack of the factors of G's four
-    symmetry-sector blocks (see `cholesky_factor`).
+    `orbits` is a (k, N/k) index table and `lower` the (k, N/k, N/k) stack
+    of the blocks' lower factors: k = 4 for G's symmetry-sector blocks (see
+    `cholesky_factor`), k = 1 for G whole, with `orbits` = arange(N)[None].
     """
 
-    dimension: int
     lower: np.ndarray
-    orbits: Optional[np.ndarray] = None
+    orbits: np.ndarray
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return cholesky_solve(self, rhs)
@@ -60,30 +59,23 @@ class DenseFactorization:
     def matrix(self) -> np.ndarray:
         """The factored matrix L L^T, in the image basis."""
         blocks = self.lower @ self.lower.swapaxes(-1, -2)
-        if self.orbits is None:
-            return blocks
-        # block (j, k) of G in orbit coordinates is C[j ^ k], C = H B / 4
+        # block (j, k) of G in orbit coordinates is C[j ^ k], C = H B / k
         _butterfly(blocks)
-        blocks *= 0.25
-        perm = self.orbits.ravel()
-        g = np.empty((self.dimension, self.dimension))
-        g[np.ix_(perm, perm)] = np.block(
-            [[blocks[j ^ k] for k in range(4)] for j in range(4)])
+        blocks /= len(blocks)
+        j = np.arange(len(blocks))
+        perm, n = self.orbits.ravel(), self.orbits.size
+        g = np.empty((n, n))
+        g[np.ix_(perm, perm)] = (blocks[j[:, None] ^ j].swapaxes(1, 2)
+                                 .reshape(n, n))
         return g
 
 
-def _asymmetry(g: np.ndarray) -> float:
-    """max|G - G^T| over the last two axes, in one buffer of G's size."""
-    d = g - g.swapaxes(-1, -2)
-    return np.abs(d, out=d).max()
-
-
 def _butterfly(t: np.ndarray):
-    """t <- H t along t's first axis (length 4), in place, with H the 4-by-4
-    Walsh-Hadamard matrix. Row s of H holds the signs that orbit
-    coordinates (i, F i, R i, FR i) take in sector s, for the sectors
-    (F, R) = (+, +), (-, +), (+, -), (-, -); H H = 4 I."""
-    for a, b in ((0, 1), (2, 3), (0, 2), (1, 3)):
+    """t <- H t along t's first axis (length k = 1 or 4), in place, with H
+    the k-by-k Walsh-Hadamard matrix (H = 1 when k = 1). Row s of H holds
+    the signs that orbit coordinates (i, F i, R i, FR i) take in sector s,
+    for the sectors (F, R) = (+, +), (-, +), (+, -), (-, -); H H = k I."""
+    for a, b in ((0, 1), (2, 3), (0, 2), (1, 3)) if len(t) == 4 else ():
         d = t[a] - t[b]
         t[a] += t[b]
         t[b] = d
@@ -126,8 +118,8 @@ def cholesky_factor(g: np.ndarray,
     of F and R eigenvalues, and only their factors are stored: a quarter
     of the memory and a sixteenth of the flops (Fassler & Stiefel, Group
     Theoretical Methods and Their Applications, 1992). Otherwise, and
-    without `orbits`, G is factored whole. A G that commutes is symmetric
-    exactly when its blocks are, so the split path checks the blocks only.
+    without `orbits`, G is one block on the orbit arange(N). Only blocks are
+    checked for symmetry, which a G that commutes has when its blocks do.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
@@ -138,34 +130,32 @@ def cholesky_factor(g: np.ndarray,
             f"cholesky_factor: orbits {orbits.shape} do not cover {g.shape}")
     scale = max(g.max(), -g.min()) if g.size else 0.0  # max|G|
     blocks = None if orbits is None else _sector_blocks(g, orbits, scale)
-    a = g if blocks is None else blocks
-    if scale and _asymmetry(a) > CHOLESKY_SYM_TOL * scale:
+    if blocks is None:
+        blocks, orbits = g[None], np.arange(g.shape[0])[None]
+    d = blocks - blocks.swapaxes(-1, -2)
+    if scale and np.abs(d, out=d).max() > CHOLESKY_SYM_TOL * scale:
         raise NotPositiveDefiniteError("matrix is not symmetric")
     try:
-        lower = scipy.linalg.cholesky(a, lower=True)
+        lower = scipy.linalg.cholesky(blocks, lower=True)
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
-    return DenseFactorization(dimension=g.shape[0], lower=lower,
-                              orbits=None if blocks is None else orbits)
+    return DenseFactorization(lower=lower, orbits=orbits)
 
 
 def cholesky_solve(f: DenseFactorization, rhs: np.ndarray) -> np.ndarray:
-    """G^{-1} rhs; a split factorization gathers rhs into its four sector
-    vectors, solves the blocks in one batched call and scatters back."""
+    """G^{-1} rhs = U B^{-1} U^T rhs with U = H / sqrt(k) on each orbit:
+    gather k block vectors, solve them in one batched call, scatter back."""
     rhs = np.asarray(rhs, dtype=np.float64)
-    if rhs.shape[0] != f.dimension:
+    if rhs.shape[0] != f.orbits.size:
         raise DimensionMismatchError(
-            f"cholesky_solve: rhs length {rhs.shape[0]} != dimension {f.dimension}")
+            f"cholesky_solve: rhs length {rhs.shape[0]} != {f.orbits.size}")
+    s = rhs[f.orbits].reshape(f.orbits.shape + (-1,))
+    _butterfly(s)
     # the factor was validated when built; re-scanning it for non-finite
     # entries on every solve dominates the cost of the small triangular solves
-    if f.orbits is None:
-        return scipy.linalg.cho_solve((f.lower, True), rhs, check_finite=False)
-    # G^{-1} = U B^{-1} U^T with U = H / 2 on each orbit
-    s = rhs[f.orbits].reshape(4, f.orbits.shape[1], -1)
-    _butterfly(s)
     s = scipy.linalg.cho_solve((f.lower, True), s, check_finite=False)
     _butterfly(s)
-    s *= 0.25
+    s /= len(s)
     out = np.empty_like(rhs)
     out[f.orbits] = s.reshape(f.orbits.shape + rhs.shape[1:])
     return out

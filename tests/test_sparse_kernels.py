@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from wmgtomo.sparse_kernels import (DimensionMismatchError,
@@ -42,9 +43,9 @@ class TestCholesky:
     def test_known_factor(self):
         # [[4,2],[2,3]] factors as L = [[2,0],[1,sqrt(2)]]
         f = cholesky_factor(np.array([[4.0, 2.0], [2.0, 3.0]]))
-        assert f.dimension == 2
+        assert f.orbits.size == 2
         np.testing.assert_allclose(
-            f.lower, [[2.0, 0.0], [1.0, np.sqrt(2.0)]], atol=1e-14)
+            f.lower, [[[2.0, 0.0], [1.0, np.sqrt(2.0)]]], atol=1e-14)
 
     def test_solve_matches_direct(self, spd8):
         a, rhs, x_direct = spd8
@@ -64,6 +65,18 @@ class TestCholesky:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatchError):
             cholesky_factor(np.ones((2, 3)))
+
+    def test_unsplit_factor_is_one_block_of_lapack_bytes(self, spd8):
+        # without orbits G is the one block of the orbit arange(N), and the
+        # batched calls on it give the same bytes as LAPACK on G itself
+        a, rhs, _ = spd8
+        f = cholesky_factor(a)
+        assert f.lower.shape == (1, 8, 8)
+        want = scipy.linalg.cholesky(a, lower=True)
+        assert f.lower[0].tobytes() == want.tobytes()
+        for b in (rhs, np.random.default_rng(9).standard_normal((8, 3))):
+            x = scipy.linalg.cho_solve((want, True), b)
+            assert f.solve(b).tobytes() == x.tobytes()
 
     def test_solve_rejects_wrong_length(self, spd8):
         a, _, _ = spd8
@@ -116,7 +129,7 @@ class TestSectorCholesky:
         orbits, _ = sector_group(q, 0)
         a = random_spd(4 * q, 4)
         f = cholesky_factor(a, orbits)
-        assert f.orbits is None
+        assert f.lower.shape == (1, 4 * q, 4 * q)
         assert np.array_equal(f.lower, cholesky_factor(a).lower)
         rhs = np.random.default_rng(5).standard_normal(4 * q)
         np.testing.assert_allclose(f.solve(rhs), np.linalg.solve(a, rhs),
