@@ -145,6 +145,7 @@ def cmd_project(args) -> int:
     if args.noise and args.seed is None:
         raise CliError("--noise requires an explicit --seed")
     g = Geometry(rows, args.detectors, args.angles)
+    check_memory(g)
     w = build_projector(g)
     b = w @ x
     if args.noise:
@@ -172,23 +173,25 @@ def mem_available():
     return None
 
 
-def check_memory(g: Geometry, levels: int):
-    """Refuse a wmg-bicgstab setup whose estimated peak memory exceeds what
-    the system has available. A line crosses at most 2s cells of an s-by-s
+def check_memory(g: Geometry, levels=None):
+    """Refuse a run on scan g whose estimated peak memory exceeds what the
+    system has available. A line crosses at most 2s cells of an s-by-s
     grid, so W holds at most 2n entries per ray, at 12 bytes each. The peak
-    is the larger of the projector build (34 bytes per entry, about 2.8 W)
-    and the hierarchy: W, the internal nodes' factors (level l's add at most
-    2^(l-1) W), 8 N_c^2 bytes of unsplit dense factor for each of the
-    4^(levels-1) coarsest nodes of side N_c, and one more for the Gram
-    being built."""
+    is at least the projector build (34 bytes per entry, about 2.8 W). With
+    `levels`, it is at least a wmg-bicgstab hierarchy too: W, the internal
+    nodes' factors (level l's add at most 2^(l-1) W), 8 N_c^2 bytes of
+    unsplit dense factor for each of the 4^(levels-1) coarsest nodes of
+    side N_c, and one more for the Gram being built."""
     n = g.n_pixels_per_side
     entries = g.n_data * 2 * n
-    dense = 8 * ((n >> (levels - 1)) ** 2) ** 2
-    need = max(34 * entries, 12 * entries * (2 ** (levels - 1) - 1)
-               + dense * (4 ** (levels - 1) + 1))
+    need = 34 * entries
+    if levels is not None:
+        dense = 8 * ((n >> (levels - 1)) ** 2) ** 2
+        need = max(need, 12 * entries * (2 ** (levels - 1) - 1)
+                   + dense * (4 ** (levels - 1) + 1))
     available = mem_available()
     if available is not None and need > available:
-        raise CliError(f"wmg-bicgstab needs about {need / 2 ** 20:.0f} MB, "
+        raise CliError(f"this run needs about {need / 2 ** 20:.0f} MB, "
                        f"but only {available / 2 ** 20:.0f} MB is available")
 
 
@@ -217,7 +220,7 @@ def cmd_reconstruct(args) -> int:
     g = Geometry(args.n, args.detectors, args.angles)
     if args.solver == "wmg-bicgstab":
         check_levels(args.n, levels)
-        check_memory(g, levels)
+    check_memory(g, levels if args.solver == "wmg-bicgstab" else None)
     cfg = SolverConfig(max_iterations=args.iters, residual_tolerance=args.tol)
     check_nonneg(args.regularization, "lambda")
     x_ex = None
@@ -225,6 +228,9 @@ def cmd_reconstruct(args) -> int:
         x_ex, xr, xc = read_grid(args.xexact)
         if xr != args.n or xc != args.n:
             raise CliError("--xexact image does not match --n")
+        if not x_ex.any():
+            raise CliError("--xexact image is all zero, so relative errors "
+                           "are undefined")
     w = build_projector(g)
     solve = setup_solve(args.solver, w, g, args.regularization, levels)
     x, record = solve(b, cfg, x_ex)
@@ -251,14 +257,18 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_spectrum(args) -> int:
     check_nonneg(args.modes, "--modes")
+    check_nonneg(args.regularization, "lambda")
     if args.modes and args.operator != "sirt-s":
         raise CliError("--modes requires --operator sirt-s")
+    if args.regularization and args.operator == "sirt-s":
+        raise CliError("--operator sirt-s takes no --lambda")
     if args.modes > args.n ** 2:
         raise CliError(f"--modes {args.modes} exceeds the {args.n ** 2} "
                        f"eigenmodes of a {args.n}-by-{args.n} image")
     check_dense_dim(args.n ** 2)  # every operator is dense n^2-by-n^2
     g = Geometry(args.n, args.n if args.detectors is None
                  else args.detectors, args.angles)
+    check_memory(g)
     w = build_projector(g)
     modes = None
     if args.operator == "sirt-s":
@@ -301,6 +311,7 @@ def cmd_bench(args) -> int:
     n = args.n
     g = Geometry(n, n if args.detectors is None else args.detectors,
                  args.angles)
+    check_memory(g, args.levels)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     w = build_projector(g)

@@ -207,9 +207,14 @@ def read_manifest(path) -> dict:
                  id="modes-tg"),
     pytest.param("spectrum", ("--operator", "wtg", "--modes", 3),
                  id="modes-wtg"),
+    # the SIRT iteration matrix has no Tikhonov term to weight
+    pytest.param("spectrum", ("--operator", "sirt-s", "--lambda", 5),
+                 id="lambda-sirt-s"),
 ])
-def test_option_without_its_mode_rejected(small_problem, command, options):
+def test_option_without_its_mode_rejected(small_problem, monkeypatch,
+                                          command, options):
     _, sino, tmp = small_problem
+    monkeypatch.setattr(cli, "build_projector", _no_projector)
     out = tmp / "x"
     if command == "reconstruct":
         options += ("--sino", sino, "--iters", 5, "--log", tmp / "l")
@@ -405,23 +410,39 @@ class TestReconstructCommand:
         assert len(rows) < 101
         assert float(rows[-1]["rel_res"]) < 0.05
 
-    def test_memory_preflight_refuses_before_projecting(self, small_problem,
-                                                        monkeypatch):
-        # 16^2, 24 x 24 rays, levels 2: the projector build's 34 bytes for
-        # each of 576 * 32 entries, 626,688 bytes, exceed W's 221,184 plus
-        # five dense 64^2 blocks
-        _, sino, tmp = small_problem
-        argv = ("reconstruct", "--sino", sino, "--n", 16, "--angles", 24,
-                "--detectors", 24, "--solver", "wmg-bicgstab", "--levels", 2,
-                "--lambda", 1.0, "--iters", 2, "--log", tmp / "l")
+    @pytest.mark.parametrize("command,options", [
+        pytest.param("reconstruct", ("--solver", "wmg-bicgstab", "--levels",
+                                     2, "--lambda", 1.0, "--iters", 2),
+                     id="wmg-bicgstab"),
+        pytest.param("reconstruct", ("--solver", "bicgstab", "--iters", 2),
+                     id="bicgstab"),
+        pytest.param("reconstruct", ("--solver", "sirt", "--iters", 2),
+                     id="sirt"),
+        pytest.param("project", (), id="project"),
+        pytest.param("bench", ("--table", "1", "--levels", 2,
+                               "--iters-scale", 0.02), id="bench"),
+        pytest.param("spectrum", ("--operator", "normal"), id="spectrum"),
+    ])
+    def test_memory_preflight_refuses_before_projecting(
+            self, small_problem, monkeypatch, command, options):
+        # 16^2, 24 x 24 rays: the projector build's 34 bytes for each of
+        # 576 * 32 entries, 626,688 bytes, exceed W's 221,184 plus the
+        # five dense 64^2 blocks of a levels-2 hierarchy
+        ph, sino, tmp = small_problem
+        argv = {"reconstruct": ("--sino", sino, "--n", 16, "--log", tmp / "l"),
+                "project": ("--image", ph),
+                "bench": ("--n", 16),
+                "spectrum": ("--n", 16)}[command]
+        argv += ("--angles", 24, "--detectors", 24, *options,
+                 "--outdir" if command == "bench" else "--out")
         monkeypatch.setattr(cli, "mem_available", lambda: 626_687)
         with monkeypatch.context() as m:
             m.setattr(cli, "build_projector", _no_projector)
-            assert run(*argv, "--out", tmp / "refused.bin") == EXIT_ARG_ERROR
-        assert not (tmp / "refused.bin").exists()
+            assert run(command, *argv, tmp / "refused") == EXIT_ARG_ERROR
+        assert not (tmp / "refused").exists()
         for available in (626_688, None):
             monkeypatch.setattr(cli, "mem_available", lambda: available)
-            assert run(*argv, "--out", tmp / "x.bin") == 0
+            assert run(command, *argv, tmp / "out") == 0
 
     def test_memory_estimate_covers_the_benchmark_peak(self, monkeypatch):
         # 160^2, 400 x 160 rays, levels 3, the scan whose wmg-bicgstab run
@@ -526,6 +547,21 @@ class TestReconstructCommand:
         assert code == EXIT_ARG_ERROR
         assert not out.exists()
 
+    def test_zero_xexact_rejected_before_projecting(self, small_problem,
+                                                    monkeypatch):
+        # relative errors against an all-zero image are undefined; refused
+        # before the projector and the hierarchy are built
+        _, sino, tmp = small_problem
+        monkeypatch.setattr(cli, "build_projector", _no_projector)
+        zero, out = tmp / "zero.bin", tmp / "x.bin"
+        write_grid(zero, np.zeros(256), 16, 16)
+        code = run("reconstruct", "--sino", sino, "--n", 16, "--angles", 24,
+                   "--detectors", 24, "--solver", "wmg-bicgstab",
+                   "--iters", 5, "--xexact", zero, "--out", out,
+                   "--log", tmp / "l")
+        assert code == EXIT_ARG_ERROR
+        assert not out.exists()
+
     def test_negative_iters_rejected_before_projecting(self, small_problem,
                                                        monkeypatch):
         _, sino, tmp = small_problem
@@ -592,6 +628,17 @@ class TestSpectrumCommand:
         out = tmp_path / "spec.csv"
         assert run("spectrum", "--n", 82, "--angles", 4, "--operator",
                    operator, "--out", out) == EXIT_ARG_ERROR
+        assert not out.exists()
+
+    @pytest.mark.parametrize("operator,lam", [
+        ("sirt-s", "nan"), ("normal", "nan"), ("tg", "-1"), ("wtg", "inf")])
+    def test_bad_lambda_rejected_before_projecting(self, tmp_path,
+                                                   monkeypatch, operator,
+                                                   lam):
+        monkeypatch.setattr(cli, "build_projector", _no_projector)
+        out = tmp_path / "spec.csv"
+        assert run("spectrum", "--n", 8, "--angles", 6, "--operator",
+                   operator, "--lambda", lam, "--out", out) == EXIT_ARG_ERROR
         assert not out.exists()
 
     def test_eigenmode_export(self, tmp_path):
