@@ -135,6 +135,7 @@ def cholesky_factor(g: np.ndarray,
     d = blocks - blocks.swapaxes(-1, -2)
     if scale and np.abs(d, out=d).max() > CHOLESKY_SYM_TOL * scale:
         raise NotPositiveDefiniteError("matrix is not symmetric")
+    del d  # free the check's buffer before the factors are allocated
     try:
         lower = scipy.linalg.cholesky(blocks, lower=True)
     except scipy.linalg.LinAlgError as exc:
