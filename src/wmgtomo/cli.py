@@ -173,7 +173,7 @@ def mem_available():
     return None
 
 
-def check_memory(g: Geometry, levels=None):
+def check_memory(g: Geometry, levels: int | None = None):
     """Refuse a run on scan g whose estimated peak memory exceeds what the
     system has available. A line crosses at most 2s cells of an s-by-s
     grid, so W holds at most 2n entries per ray, at 12 bytes each. The peak
