@@ -31,7 +31,7 @@ from .solvers import (STATUS_BREAKDOWN, STATUS_NON_FINITE,
                       ConvergenceRecord, SolverConfig, bicgstab_solve,
                       check_dense_dim, check_nonneg, normal_operator,
                       sirt_solve)
-from .spectral import preconditioned_spectrum, sirt_spectrum
+from .spectral import spectrum
 from .sparse_kernels import (DimensionMismatchError, NotPositiveDefiniteError)
 
 MAGIC = b"WMGT"
@@ -173,18 +173,23 @@ def mem_available():
     return None
 
 
-def check_memory(g: Geometry, levels: int | None = None):
+def check_memory(g: Geometry, levels: int | None = None,
+                 dense_matrices: int = 0):
     """Refuse a run on scan g whose estimated peak memory exceeds what the
     system has available. A line crosses at most 2s cells of an s-by-s
     grid, so W holds at most 2n entries per ray, at 12 bytes each. The peak
     is at least the projector build (34 bytes per entry, about 2.8 W). With
+    `dense_matrices`, it is at least W and that many float64 N-by-N
+    matrices too: `spectrum` passes 7, the most tracemalloc saw beyond W on
+    40^2, 100 angles, 40 detectors, in multiples of 8 N^2 bytes (wtg 7.0,
+    tg 6.0, sirt-s with eigenvectors 5.0, normal and sirt-s 2.46). With
     `levels`, it is at least a wmg-bicgstab hierarchy too: W, the internal
     nodes' factors (level l's add at most 2^(l-1) W), 8 N_c^2 bytes of
     unsplit dense factor for each of the 4^(levels-1) coarsest nodes of
     side N_c, and one more for the Gram being built."""
     n = g.n_pixels_per_side
     entries = g.n_data * 2 * n
-    need = 34 * entries
+    need = max(34 * entries, 12 * entries + dense_matrices * 8 * n ** 4)
     if levels is not None:
         dense = 8 * ((n >> (levels - 1)) ** 2) ** 2
         need = max(need, 12 * entries * (2 ** (levels - 1) - 1)
@@ -260,37 +265,29 @@ def cmd_spectrum(args) -> int:
     check_nonneg(args.regularization, "lambda")
     if args.modes and args.operator != "sirt-s":
         raise CliError("--modes requires --operator sirt-s")
-    if args.regularization and args.operator == "sirt-s":
-        raise CliError("--operator sirt-s takes no --lambda")
     if args.modes > args.n ** 2:
         raise CliError(f"--modes {args.modes} exceeds the {args.n ** 2} "
                        f"eigenmodes of a {args.n}-by-{args.n} image")
     check_dense_dim(args.n ** 2)  # every operator is dense n^2-by-n^2
+    if args.operator in ("tg", "wtg"):
+        check_levels(args.n, 2)  # both two-grid models coarsen once
     g = Geometry(args.n, args.n if args.detectors is None
                  else args.detectors, args.angles)
-    check_memory(g)
+    check_memory(g, dense_matrices=7)
     w = build_projector(g)
-    modes = None
-    if args.operator == "sirt-s":
-        spec = sirt_spectrum(w, with_eigenvectors=bool(args.modes))
-        if args.modes:
-            modes = spec.eigenvectors[:, :args.modes]
-    else:
-        kind = {"normal": "none", "tg": "tg", "wtg": "wtg"}[args.operator]
-        spec = preconditioned_spectrum(w, args.n, args.regularization, kind)
+    spec = spectrum(w, args.operator, args.regularization, bool(args.modes))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "real", "imag", "magnitude"])
         for i, v in enumerate(spec.eigenvalues):
             writer.writerow([i, repr(float(v.real)), repr(float(v.imag)),
                              repr(float(abs(v)))])
-    if modes is not None:
-        for j in range(modes.shape[1]):
-            vec = modes[:, j].real
-            # fix the sign: largest-magnitude component positive
-            if vec[np.argmax(np.abs(vec))] < 0:
-                vec = -vec
-            write_pgm(f"{args.modes_prefix}{j:03d}.pgm", vec, args.n, args.n)
+    for j in range(args.modes):
+        vec = spec.eigenvectors[:, j].real
+        # fix the sign: largest-magnitude component positive
+        if vec[np.argmax(np.abs(vec))] < 0:
+            vec = -vec
+        write_pgm(f"{args.modes_prefix}{j:03d}.pgm", vec, args.n, args.n)
     manifest = _base_manifest("spectrum")
     manifest.update(n=args.n, angles=args.angles, detectors=g.n_detectors,
                     operator=args.operator,

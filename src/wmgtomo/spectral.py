@@ -7,6 +7,7 @@ invert the normal operator by dense factorization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,18 +28,6 @@ class Spectrum:
     condition_number: Optional[float] = None
 
 
-def _magnitude_ratio(vals: np.ndarray) -> float:
-    mags = np.abs(vals)
-    return float(mags.max() / mags.min())
-
-
-def _sorted_by_magnitude(vals, vecs=None):
-    order = np.argsort(np.abs(vals), kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order] if vecs is not None else None
-    return vals, vecs
-
-
 def _dense_sirt_iteration_matrix(w: sp.spmatrix, lam: float = 0.0) -> np.ndarray:
     check_dense_dim(w.shape[1])
     c, r = sirt_scaling(w)
@@ -48,18 +37,6 @@ def _dense_sirt_iteration_matrix(w: sp.spmatrix, lam: float = 0.0) -> np.ndarray
     s = -c[:, None] * m
     s[np.diag_indices_from(s)] += 1.0
     return s
-
-
-def sirt_spectrum(w: sp.spmatrix, with_eigenvectors: bool = False) -> Spectrum:
-    """Spectrum of S = I - C W^T R W (real up to roundoff; S is similar to
-    a symmetric matrix)."""
-    s = _dense_sirt_iteration_matrix(w)
-    if with_eigenvectors:
-        vals, vecs = scipy.linalg.eig(s)
-    else:
-        vals, vecs = scipy.linalg.eigvals(s), None
-    vals, vecs = _sorted_by_magnitude(vals, vecs)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
 def _coarse_correction(a: np.ndarray, r: sp.spmatrix) -> np.ndarray:
@@ -92,24 +69,35 @@ def dense_wtg_operator(w: sp.spmatrix, n: int, lam: float = 0.0) -> np.ndarray:
     return (eye - bands) @ (eye - _coarse_correction(a, grids["LL"]))
 
 
-def preconditioned_spectrum(w: sp.spmatrix, n: int, lam: float,
-                            precond_kind: str) -> Spectrum:
-    """Spectrum (and kappa) of the preconditioned Krylov iteration matrix.
-
-    'none' returns the spectrum of A = W^T W + lam*I itself; 'tg' and 'wtg'
-    return the spectrum of I - A G A^{-1} with G the corresponding dense
-    error-propagation matrix.
-    """
-    a = dense_normal(w, lam)
-    if precond_kind == "none":
-        vals = scipy.linalg.eigvalsh(a).astype(np.complex128)
+def spectrum(w: sp.spmatrix, operator: str, lam: float = 0.0,
+             with_eigenvectors: bool = False) -> Spectrum:
+    """Spectrum of the dense operator that `spectrum --operator` names, on
+    the n-by-n image W maps, at Tikhonov weight lam: 'sirt-s' is
+    S = I - C (W^T R W + lam I), real up to roundoff as S is similar to a
+    symmetric matrix, and alone has eigenvectors; 'normal' is
+    A = W^T W + lam I; 'tg' and 'wtg' are I - A G A^{-1} for the dense
+    error propagation G. All but 'sirt-s' give kappa = max|ev| / min|ev|."""
+    if operator not in ("sirt-s", "normal", "tg", "wtg"):
+        raise ValueError(f"unknown operator '{operator}'")
+    if with_eigenvectors and operator != "sirt-s":
+        raise ValueError("only operator 'sirt-s' has eigenvectors")
+    vecs = None
+    if operator == "sirt-s":
+        s = _dense_sirt_iteration_matrix(w, lam)
+        vals, vecs = (scipy.linalg.eig(s) if with_eigenvectors
+                      else (scipy.linalg.eigvals(s), None))
+    elif operator == "normal":
+        vals = scipy.linalg.eigvalsh(dense_normal(w, lam)).astype(np.complex128)
     else:
-        dense_error = {"tg": dense_tg_operator, "wtg": dense_wtg_operator}
-        if precond_kind not in dense_error:
-            raise ValueError(f"unknown preconditioner kind '{precond_kind}'")
-        g = dense_error[precond_kind](w, n, lam)
+        a = dense_normal(w, lam)
+        dense_error = dense_tg_operator if operator == "tg" else dense_wtg_operator
+        g = dense_error(w, math.isqrt(w.shape[1]), lam)
         # I - A G A^{-1}: right-preconditioned iteration matrix
         iteration = np.eye(a.shape[0]) - a @ np.linalg.solve(a.T, g.T).T
         vals = scipy.linalg.eigvals(iteration)
-    vals, _ = _sorted_by_magnitude(vals)
-    return Spectrum(eigenvalues=vals, condition_number=_magnitude_ratio(vals))
+    mags = np.abs(vals)
+    order = np.argsort(mags, kind="stable")
+    return Spectrum(eigenvalues=vals[order],
+                    eigenvectors=None if vecs is None else vecs[:, order],
+                    condition_number=None if operator == "sirt-s"
+                    else float(mags.max() / mags.min()))

@@ -18,8 +18,7 @@ from wmgtomo.multilevel import (BAND_IDS, build_intergrid_set,
                                 wtg_apply)
 from wmgtomo.phantom import add_noise, shepp_logan
 from wmgtomo.solvers import SolverConfig, bicgstab_solve
-from wmgtomo.spectral import (dense_wtg_operator, preconditioned_spectrum,
-                              sirt_spectrum)
+from wmgtomo.spectral import dense_wtg_operator, spectrum
 
 NOISE_SEED = 11
 
@@ -125,9 +124,9 @@ def w40():
 
 def test_criterion_2_condition_numbers(w40):
     _, w = w40
-    k_none = preconditioned_spectrum(w, 40, 0.0, "none").condition_number
-    k_tg = preconditioned_spectrum(w, 40, 0.0, "tg").condition_number
-    k_wtg = preconditioned_spectrum(w, 40, 0.0, "wtg").condition_number
+    k_none = spectrum(w, "normal").condition_number
+    k_tg = spectrum(w, "tg").condition_number
+    k_wtg = spectrum(w, "wtg").condition_number
     ok = (3e4 <= k_none <= 3e5 and 1.5e4 <= k_tg <= 1.4e5
           and 1e2 <= k_wtg <= 1e3 and k_wtg <= k_none / 50)
     report(2, ok,
@@ -138,7 +137,7 @@ def test_criterion_2_condition_numbers(w40):
 
 def test_criterion_3_sirt_spectrum(w40):
     _, w = w40
-    spec = sirt_spectrum(w)
+    spec = spectrum(w, "sirt-s")
     vals = np.sort(spec.eigenvalues.real)
     lam2 = vals[1]
     radius = np.abs(spec.eigenvalues).max()

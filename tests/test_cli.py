@@ -207,9 +207,6 @@ def read_manifest(path) -> dict:
                  id="modes-tg"),
     pytest.param("spectrum", ("--operator", "wtg", "--modes", 3),
                  id="modes-wtg"),
-    # the SIRT iteration matrix has no Tikhonov term to weight
-    pytest.param("spectrum", ("--operator", "sirt-s", "--lambda", 5),
-                 id="lambda-sirt-s"),
 ])
 def test_option_without_its_mode_rejected(small_problem, monkeypatch,
                                           command, options):
@@ -427,7 +424,8 @@ class TestReconstructCommand:
             self, small_problem, monkeypatch, command, options):
         # 16^2, 24 x 24 rays: the projector build's 34 bytes for each of
         # 576 * 32 entries, 626,688 bytes, exceed W's 221,184 plus the
-        # five dense 64^2 blocks of a levels-2 hierarchy
+        # five dense 64^2 blocks of a levels-2 hierarchy; spectrum's W
+        # plus seven dense 256^2 matrices come to 3,891,200 bytes
         ph, sino, tmp = small_problem
         argv = {"reconstruct": ("--sino", sino, "--n", 16, "--log", tmp / "l"),
                 "project": ("--image", ph),
@@ -435,12 +433,13 @@ class TestReconstructCommand:
                 "spectrum": ("--n", 16)}[command]
         argv += ("--angles", 24, "--detectors", 24, *options,
                  "--outdir" if command == "bench" else "--out")
-        monkeypatch.setattr(cli, "mem_available", lambda: 626_687)
+        need = 3_891_200 if command == "spectrum" else 626_688
+        monkeypatch.setattr(cli, "mem_available", lambda: need - 1)
         with monkeypatch.context() as m:
             m.setattr(cli, "build_projector", _no_projector)
             assert run(command, *argv, tmp / "refused") == EXIT_ARG_ERROR
         assert not (tmp / "refused").exists()
-        for available in (626_688, None):
+        for available in (need, None):
             monkeypatch.setattr(cli, "mem_available", lambda: available)
             assert run(command, *argv, tmp / "out") == 0
 
@@ -612,6 +611,9 @@ class TestSpectrumCommand:
         assert len(rows) == 256
         mags = [float(r["magnitude"]) for r in rows]
         assert mags == sorted(mags)
+        assert run("spectrum", "--n", 16, "--angles", 24, "--detectors", 24,
+                   "--operator", "sirt-s", "--lambda", 0.5, "--out", out) == 0
+        assert read_manifest(out)["regularization_lambda"] == "0.5"
 
     def test_wtg_kappa_in_manifest(self, tmp_path, capsys):
         out = tmp_path / "spec.csv"
@@ -639,6 +641,16 @@ class TestSpectrumCommand:
         out = tmp_path / "spec.csv"
         assert run("spectrum", "--n", 8, "--angles", 6, "--operator",
                    operator, "--lambda", lam, "--out", out) == EXIT_ARG_ERROR
+        assert not out.exists()
+
+    @pytest.mark.parametrize("operator", ["tg", "wtg"])
+    def test_odd_n_rejected_before_projecting(self, tmp_path, monkeypatch,
+                                              operator):
+        # both two-grid models halve the image once, which n = 9 cannot be
+        monkeypatch.setattr(cli, "build_projector", _no_projector)
+        out = tmp_path / "spec.csv"
+        assert run("spectrum", "--n", 9, "--angles", 6, "--operator",
+                   operator, "--out", out) == EXIT_ARG_ERROR
         assert not out.exists()
 
     def test_eigenmode_export(self, tmp_path):

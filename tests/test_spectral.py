@@ -2,32 +2,32 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wmgtomo.spectral import (dense_tg_operator, dense_wtg_operator,
-                              preconditioned_spectrum, sirt_spectrum)
+from wmgtomo.spectral import dense_tg_operator, dense_wtg_operator, spectrum
 
 
 class TestSirtSpectrum:
     def test_small_hand_system(self):
         # W = [[1,1],[0,2]]: R = diag(1/2, 1/2), C = diag(1, 1/3)
-        # S = I - C W^T R W computed by hand
+        # S = I - C (W^T R W + lam I) computed by hand
         w = sp.csr_matrix(np.array([[1.0, 1.0], [0.0, 2.0]]))
-        s_exact = np.eye(2) - np.array([
-            [0.5, 0.5],
-            [0.5 / 3.0, 2.5 / 3.0],
-        ])
-        spec = sirt_spectrum(w)
-        np.testing.assert_allclose(np.sort(spec.eigenvalues.real),
-                                   np.sort(np.linalg.eigvals(s_exact).real),
-                                   atol=1e-12)
+        for lam in (0.0, 0.5):
+            s_exact = np.eye(2) - np.array([
+                [0.5 + lam, 0.5],
+                [0.5 / 3.0, (2.5 + lam) / 3.0],
+            ])
+            spec = spectrum(w, "sirt-s", lam)
+            np.testing.assert_allclose(
+                np.sort(spec.eigenvalues.real),
+                np.sort(np.linalg.eigvals(s_exact).real), atol=1e-12)
 
     def test_convergent_on_full_system(self, w16):
         _, w = w16
-        spec = sirt_spectrum(w)
+        spec = spectrum(w, "sirt-s")
         assert np.abs(spec.eigenvalues).max() <= 1.0 + 1e-8
 
     def test_eigenvectors_returned_sorted(self, w16):
         _, w = w16
-        spec = sirt_spectrum(w, with_eigenvectors=True)
+        spec = spectrum(w, "sirt-s", with_eigenvectors=True)
         mags = np.abs(spec.eigenvalues)
         assert (np.diff(mags) >= -1e-12).all()
         assert spec.eigenvectors.shape == (256, 256)
@@ -38,28 +38,33 @@ class TestPreconditionedSpectrum:
         _, w = w16
         lam = 1.0
         a = (w.T @ w).toarray() + lam * np.eye(256)
-        spec = preconditioned_spectrum(w, 16, lam, "none")
+        spec = spectrum(w, "normal", lam)
         assert abs(spec.condition_number - np.linalg.cond(a)) <= \
             1e-6 * np.linalg.cond(a)
 
     def test_wtg_reduces_condition_number(self, w16):
         _, w = w16
         lam = 1.0
-        base = preconditioned_spectrum(w, 16, lam, "none")
-        wtg = preconditioned_spectrum(w, 16, lam, "wtg")
+        base = spectrum(w, "normal", lam)
+        wtg = spectrum(w, "wtg", lam)
         assert wtg.condition_number < base.condition_number / 5
 
     def test_exact_two_level_coarse_solves_cluster_at_one(self, w16):
         # with exact subspace solves the preconditioned matrix A M^{-1}
         # has no eigenvalue below a fixed positive floor
         _, w = w16
-        spec = preconditioned_spectrum(w, 16, 1.0, "wtg")
+        spec = spectrum(w, "wtg", 1.0)
         assert np.abs(spec.eigenvalues).min() > 0.01
 
     def test_unknown_kind(self, w16):
         _, w = w16
         with pytest.raises(ValueError):
-            preconditioned_spectrum(w, 16, 0.0, "ilu")
+            spectrum(w, "ilu")
+
+    def test_eigenvectors_only_for_sirt_s(self, w16):
+        _, w = w16
+        with pytest.raises(ValueError, match="eigenvectors"):
+            spectrum(w, "normal", with_eigenvectors=True)
 
 
 class TestDenseOperators:
