@@ -178,18 +178,22 @@ def check_memory(g: Geometry, levels: int | None = None,
     """Refuse a run on scan g whose estimated peak memory exceeds what the
     system has available. A line crosses at most 2s cells of an s-by-s
     grid, so W holds at most 2n entries per ray, at 12 bytes each. The peak
-    is at least the projector build (34 bytes per entry, about 2.8 W). With
+    is at least the projector build, 24 bytes per entry: the traced blocks
+    and the joined W are alive together (tracemalloc peaks at 2.00 W on
+    160^2, 400 angles, 160 detectors and 2.22 W on 16^2, 24 angles, 24
+    detectors; RSS rises by 1.2-1.35 W, since the joined arrays are touched
+    only as the blocks are freed). With
     `dense_matrices`, it is at least W and that many float64 N-by-N
-    matrices too: `spectrum` passes 7, the most tracemalloc saw beyond W on
-    40^2, 100 angles, 40 detectors, in multiples of 8 N^2 bytes (wtg 7.0,
-    tg 6.0, sirt-s with eigenvectors 5.0, normal and sirt-s 2.46). With
+    matrices too: `spectrum` passes 6, the most tracemalloc saw beyond W on
+    40^2, 100 angles, 40 detectors, in multiples of 8 N^2 bytes (wtg 6.0,
+    tg and sirt-s with eigenvectors 5.0, normal and sirt-s 2.46). With
     `levels`, it is at least a wmg-bicgstab hierarchy too: W, the internal
     nodes' factors (level l's add at most 2^(l-1) W), 8 N_c^2 bytes of
     unsplit dense factor for each of the 4^(levels-1) coarsest nodes of
     side N_c, and one more for the Gram being built."""
     n = g.n_pixels_per_side
     entries = g.n_data * 2 * n
-    need = max(34 * entries, 12 * entries + dense_matrices * 8 * n ** 4)
+    need = max(24 * entries, 12 * entries + dense_matrices * 8 * n ** 4)
     if levels is not None:
         dense = 8 * ((n >> (levels - 1)) ** 2) ** 2
         need = max(need, 12 * entries * (2 ** (levels - 1) - 1)
@@ -269,11 +273,12 @@ def cmd_spectrum(args) -> int:
         raise CliError(f"--modes {args.modes} exceeds the {args.n ** 2} "
                        f"eigenmodes of a {args.n}-by-{args.n} image")
     check_dense_dim(args.n ** 2)  # every operator is dense n^2-by-n^2
-    if args.operator in ("tg", "wtg"):
-        check_levels(args.n, 2)  # both two-grid models coarsen once
+    if args.operator in ("tg", "wtg") and args.n % 2:
+        raise CliError(f"--operator {args.operator} halves the image once, "
+                       f"so --n must be even, got {args.n}")
     g = Geometry(args.n, args.n if args.detectors is None
                  else args.detectors, args.angles)
-    check_memory(g, dense_matrices=7)
+    check_memory(g, dense_matrices=6)
     w = build_projector(g)
     spec = spectrum(w, args.operator, args.regularization, bool(args.modes))
     with open(args.out, "w", newline="") as fh:

@@ -15,12 +15,18 @@ pixel it crosses (grid-line traversal).
 
 from __future__ import annotations
 
+import ctypes
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .sparse_kernels import DimensionMismatchError, seeded_uniform
+
+# the projector is traced in at most this many contiguous angle blocks
+BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -117,18 +123,26 @@ def _snapped_trig(theta: float) -> tuple[float, float]:
     return c, s
 
 
-def _line_entries(g: Geometry):
-    """Exact ray/pixel intersection lengths, vectorized over rays per angle:
-    per-ray entry counts, then every entry's column and length in row order."""
+def _index_dtype(maxval: int):
+    """scipy's sparse index dtype: int32 while maxval fits it."""
+    return np.int32 if maxval <= np.iinfo(np.int32).max else np.int64
+
+
+def _line_entries(g: Geometry, block: slice = slice(None)):
+    """Exact ray/pixel intersection lengths, vectorized over rays per angle,
+    for the angles g.angles[block]: per-ray entry counts, then every entry's
+    column (in the index dtype of a matrix with N columns) and length in row
+    order."""
     n = g.n_pixels_per_side
     ndet = g.n_detectors
+    col_dtype = _index_dtype(g.n_image)
     offsets = np.arange(ndet) - (ndet - 1) / 2.0
     # pixel boundaries; the grid spans [-n/2, n/2] in both axes
     lines = np.arange(n + 1) - n / 2.0
     half = n / 2.0
 
     counts_acc, cols_acc, vals_acc = [], [], []
-    for theta in g.angles:
+    for theta in g.angles[block]:
         c, s = _snapped_trig(theta)
         dx, dy = -s, c  # ray direction; ray point = offset*(c, s) + t*(dx, dy)
         ox, oy = offsets * c, offsets * s
@@ -139,29 +153,92 @@ def _line_entries(g: Geometry):
             np.full((ndet, n + 1), np.inf)
         ty = (lines[None, :] - oy[:, None]) / dy if abs(dy) > 1e-12 else \
             np.full((ndet, n + 1), np.inf)
-        t = np.sort(np.concatenate([tx, ty], axis=1), axis=1)
+        t = np.concatenate([tx, ty], axis=1)
+        t.sort(axis=1)
         with np.errstate(invalid="ignore"):
             seg = t[:, 1:] - t[:, :-1]
-            tm = 0.5 * (t[:, 1:] + t[:, :-1])
+            tm = t[:, 1:] + t[:, :-1]
+            tm *= 0.5
         good = np.isfinite(seg) & (seg > 1e-12)
-        tm = np.where(good, tm, 0.0)
-        xm = ox[:, None] + tm * dx
-        ym = oy[:, None] + tm * dy
-        ix = np.floor(xm + half).astype(np.int64)
-        iy = np.floor(ym + half).astype(np.int64)
+        tm[~good] = 0.0
+        # floor(offset + t_mid * direction + n/2), in place; the pixel
+        # indices stay float64 until keep bounds them, so a midpoint far off
+        # the grid cannot wrap into it
+        ix, iy = tm * dx, tm * dy
+        for p, o in ((ix, ox), (iy, oy)):
+            p += o[:, None]
+            p += half
+            np.floor(p, out=p)
         keep = good & (ix >= 0) & (ix < n) & (iy >= 0) & (iy < n)
-        counts_acc.append(keep.sum(axis=1))
-        cols_acc.append((n - 1 - iy[keep]) * n + ix[keep])
+        counts_acc.append(np.count_nonzero(keep, axis=1))
+        cols_acc.append(((n - 1 - iy[keep]) * n + ix[keep]).astype(col_dtype))
         vals_acc.append(seg[keep])
     return (np.concatenate(counts_acc), np.concatenate(cols_acc),
             np.concatenate(vals_acc))
 
 
-def build_projector(g: Geometry) -> sp.csr_matrix:
-    """Sparse M-by-N projection matrix; rays missing the grid give empty rows."""
-    counts, cols, vals = _line_entries(g)
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    w = sp.csr_matrix((vals, cols, indptr), shape=(g.n_data, g.n_image))
-    w.sum_duplicates()  # sorts each ray's columns, given in traversal order
-    return w
+def _release_free_heap():
+    """Hand the memory freed in the worker threads' malloc arenas back to
+    the system, through glibc's malloc_trim where the C library has it."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # no such call, or no libc
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
 
+
+def build_projector(g: Geometry) -> sp.csr_matrix:
+    """Sparse M-by-N projection matrix; rays missing the grid give empty rows.
+
+    The scan is traced in at most BLOCKS contiguous angle blocks, on one
+    thread per CPU the process may run on, the calling thread among them;
+    numpy and scipy's sparse routines release the GIL. A row depends on its
+    angle alone, so W is the same to the byte for every thread count. The
+    blocks are copied in order into arrays allocated once, each block freed
+    as soon as it is copied, so the build allocates 2 W at most and keeps
+    little more than W plus the blocks in flight resident."""
+    m = g.n_angles
+    n_blocks = min(BLOCKS, m)
+    blocks = [slice(k * m // n_blocks, (k + 1) * m // n_blocks)
+              for k in range(n_blocks)]
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    n_threads = min(cpus, n_blocks)
+    pieces = [None] * n_blocks
+
+    def trace(first: int):
+        for k in range(first, n_blocks, n_threads):
+            counts, cols, vals = _line_entries(g, blocks[k])
+            rows = sp.csr_matrix(
+                (vals, cols, np.concatenate(([0], np.cumsum(counts)))),
+                shape=(len(counts), g.n_image))
+            # sorts each ray's columns, given in traversal order
+            rows.sum_duplicates()
+            pieces[k] = rows
+
+    with ThreadPoolExecutor(max(n_threads - 1, 1)) as pool:
+        workers = [pool.submit(trace, j) for j in range(1, n_threads)]
+        trace(0)
+        for worker in workers:
+            worker.result()
+    # without this, the workers' freed temporaries stay resident and add
+    # about 20 MB to the peak of a hierarchy built next
+    _release_free_heap()
+
+    nnz = sum(rows.nnz for rows in pieces)
+    idx = _index_dtype(max(g.n_data, g.n_image, nnz))
+    data, indices = np.empty(nnz), np.empty(nnz, dtype=idx)
+    indptr = np.zeros(g.n_data + 1, dtype=idx)
+    row = at = 0
+    for k in range(n_blocks):
+        rows, pieces[k] = pieces[k], None
+        end = at + rows.nnz
+        data[at:end], indices[at:end] = rows.data, rows.indices
+        ptr = indptr[row + 1:row + 1 + rows.shape[0]]
+        ptr[:] = rows.indptr[1:]
+        ptr += at
+        row, at = row + rows.shape[0], end
+    w = sp.csr_matrix((data, indices, indptr), shape=(g.n_data, g.n_image))
+    w.has_canonical_format = True  # each block is, and no row is in two
+    return w

@@ -45,23 +45,26 @@ def _coarse_correction(a: np.ndarray, r: sp.spmatrix) -> np.ndarray:
     return r.T @ np.linalg.solve(r @ a @ r.T, r @ a)
 
 
-def dense_tg_operator(w: sp.spmatrix, n: int, lam: float = 0.0) -> np.ndarray:
+def dense_tg_operator(w: sp.spmatrix, n: int, lam: float = 0.0, *,
+                      a: Optional[np.ndarray] = None) -> np.ndarray:
     """Error-propagation matrix S (I - R^T (R A R^T)^{-1} R A) S of a classical
     two-grid model: one SIRT pre- and one post-smoothing step around an exact
-    LL coarse correction of A = W^T W + lam I. It is analysed by
-    `spectrum --operator tg` and acceptance criterion 2's kappa(TG); no
-    solver runs this cycle."""
-    a = dense_normal(w, lam)
+    LL coarse correction of A = W^T W + lam I, built here unless given as
+    `a`. It is analysed by `spectrum --operator tg` and acceptance
+    criterion 2's kappa(TG); no solver runs this cycle."""
+    a = dense_normal(w, lam) if a is None else a
     s = _dense_sirt_iteration_matrix(w, lam)
     x_ll = _coarse_correction(a, build_intergrid_set(n)["LL"])
     return s @ (np.eye(a.shape[0]) - x_ll) @ s
 
 
-def dense_wtg_operator(w: sp.spmatrix, n: int, lam: float = 0.0) -> np.ndarray:
+def dense_wtg_operator(w: sp.spmatrix, n: int, lam: float = 0.0, *,
+                       a: Optional[np.ndarray] = None) -> np.ndarray:
     """Error-propagation matrix of the wavelet two-grid correction that
     `multilevel.wtg_apply` runs: the LL correction first, then the three
-    oscillatory-band corrections added from one refreshed residual."""
-    a = dense_normal(w, lam)
+    oscillatory-band corrections added from one refreshed residual. A =
+    W^T W + lam I is built here unless given as `a`."""
+    a = dense_normal(w, lam) if a is None else a
     grids = build_intergrid_set(n)
     eye = np.eye(a.shape[0])
     # e += sum_b R_b^T A_b^{-1} R_b r' with a single refreshed residual
@@ -91,7 +94,7 @@ def spectrum(w: sp.spmatrix, operator: str, lam: float = 0.0,
     else:
         a = dense_normal(w, lam)
         dense_error = dense_tg_operator if operator == "tg" else dense_wtg_operator
-        g = dense_error(w, math.isqrt(w.shape[1]), lam)
+        g = dense_error(w, math.isqrt(w.shape[1]), lam, a=a)
         # I - A G A^{-1}: right-preconditioned iteration matrix
         iteration = np.eye(a.shape[0]) - a @ np.linalg.solve(a.T, g.T).T
         vals = scipy.linalg.eigvals(iteration)

@@ -422,10 +422,10 @@ class TestReconstructCommand:
     ])
     def test_memory_preflight_refuses_before_projecting(
             self, small_problem, monkeypatch, command, options):
-        # 16^2, 24 x 24 rays: the projector build's 34 bytes for each of
-        # 576 * 32 entries, 626,688 bytes, exceed W's 221,184 plus the
+        # 16^2, 24 x 24 rays: the projector build's 24 bytes for each of
+        # 576 * 32 entries, 442,368 bytes, exceed W's 221,184 plus the
         # five dense 64^2 blocks of a levels-2 hierarchy; spectrum's W
-        # plus seven dense 256^2 matrices come to 3,891,200 bytes
+        # plus six dense 256^2 matrices come to 3,366,912 bytes
         ph, sino, tmp = small_problem
         argv = {"reconstruct": ("--sino", sino, "--n", 16, "--log", tmp / "l"),
                 "project": ("--image", ph),
@@ -433,7 +433,7 @@ class TestReconstructCommand:
                 "spectrum": ("--n", 16)}[command]
         argv += ("--angles", 24, "--detectors", 24, *options,
                  "--outdir" if command == "bench" else "--out")
-        need = 3_891_200 if command == "spectrum" else 626_688
+        need = 3_366_912 if command == "spectrum" else 442_368
         monkeypatch.setattr(cli, "mem_available", lambda: need - 1)
         with monkeypatch.context() as m:
             m.setattr(cli, "build_projector", _no_projector)
@@ -645,13 +645,16 @@ class TestSpectrumCommand:
 
     @pytest.mark.parametrize("operator", ["tg", "wtg"])
     def test_odd_n_rejected_before_projecting(self, tmp_path, monkeypatch,
-                                              operator):
+                                              capsys, operator):
         # both two-grid models halve the image once, which n = 9 cannot be
         monkeypatch.setattr(cli, "build_projector", _no_projector)
         out = tmp_path / "spec.csv"
         assert run("spectrum", "--n", 9, "--angles", 6, "--operator",
                    operator, "--out", out) == EXIT_ARG_ERROR
         assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: --operator {operator} halves the image once, so --n "
+            "must be even, got 9\n")
 
     def test_eigenmode_export(self, tmp_path):
         out = tmp_path / "spec.csv"

@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -94,10 +97,14 @@ class TestLineKernel:
 
 
     @pytest.mark.parametrize("sizes", [(16, 24, 24), (40, 40, 100),
-                                       (15, 15, 7), (8, 7, 8), (33, 64, 4)])
+                                       (15, 15, 7), (8, 7, 8), (33, 64, 4),
+                                       (16, 24, 1), (15, 16, 3), (12, 13, 9),
+                                       (20, 21, 17)])
     def test_csr_equals_coo_assembly_of_the_same_entries(self, sizes):
         # the reference is the COO route: one row id per entry, global
-        # (row, col) sort, duplicate summation, conversion to CSR
+        # (row, col) sort, duplicate summation, conversion to CSR; the
+        # angle counts include ones below the block count and ones it does
+        # not divide
         g = Geometry(*sizes)
         counts, cols, vals = _line_entries(g)
         rows = np.repeat(np.arange(g.n_data), counts)
@@ -110,6 +117,26 @@ class TestLineKernel:
             got, want = getattr(w, name), getattr(ref, name)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("sizes", [(40, 40, 100), (12, 13, 9),
+                                       (15, 16, 3)])
+    def test_same_bytes_at_every_cpu_count(self, monkeypatch, sizes):
+        # the angle blocks run on one to three threads, the calling thread
+        # among them, and every thread the build starts has ended when it
+        # returns
+        g = Geometry(*sizes)
+        built = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, k=cpus: set(range(k)))
+            threads = threading.active_count()
+            built.append(build_projector(g))
+            assert threading.active_count() == threads
+        for w in built[1:]:
+            for name in ("data", "indices", "indptr"):
+                got, want = getattr(w, name), getattr(built[0], name)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
