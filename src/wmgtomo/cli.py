@@ -32,7 +32,7 @@ from .solvers import (STATUS_BREAKDOWN, STATUS_NON_FINITE,
                       check_dense_dim, check_nonneg, normal_operator,
                       sirt_solve)
 from .spectral import spectrum
-from .sparse_kernels import (DimensionMismatchError, NotPositiveDefiniteError)
+from .sparse_kernels import NotPositiveDefiniteError
 
 MAGIC = b"WMGT"
 FORMAT_VERSION = 1
@@ -186,7 +186,7 @@ def check_memory(g: Geometry, levels: int | None = None,
     `dense_matrices`, it is at least W and that many float64 N-by-N
     matrices too: `spectrum` passes 6, the most tracemalloc saw beyond W on
     40^2, 100 angles, 40 detectors, in multiples of 8 N^2 bytes (wtg 6.0,
-    tg and sirt-s with eigenvectors 5.0, normal and sirt-s 2.46). With
+    sirt-s with eigenvectors 5.0, tg 4.5, normal and sirt-s 2.46). With
     `levels`, it is at least a wmg-bicgstab hierarchy too: W, the internal
     nodes' factors (level l's add at most 2^(l-1) W), 8 N_c^2 bytes of
     unsplit dense factor for each of the 4^(levels-1) coarsest nodes of
@@ -427,7 +427,7 @@ def main(argv=None) -> int:
     except (NotPositiveDefiniteError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_ERROR
-    except (CliError, DimensionMismatchError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARG_ERROR
 

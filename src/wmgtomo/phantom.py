@@ -67,9 +67,11 @@ def error_metrics(x: np.ndarray, x_ex: np.ndarray) -> tuple[float, float]:
     x_ex = np.asarray(x_ex, dtype=np.float64)
     if x.shape != x_ex.shape:
         raise ValueError("error_metrics: length mismatch")
-    norm2 = np.linalg.norm(x_ex)
-    norminf = np.abs(x_ex).max() if x_ex.size else 0.0
-    if norm2 == 0.0:
-        raise ValueError("error_metrics: exact image is identically zero")
-    e = x - x_ex
-    return float(np.linalg.norm(e) / norm2), float(np.abs(e).max() / norminf)
+    # an overflowing norm is inf, not a RuntimeWarning, as in the solvers
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm2 = np.linalg.norm(x_ex)
+        norminf = np.abs(x_ex).max() if x_ex.size else 0.0
+        if norm2 == 0.0:
+            raise ValueError("error_metrics: exact image is identically zero")
+        e = x - x_ex
+        return float(np.linalg.norm(e) / norm2), float(np.abs(e).max() / norminf)

@@ -210,7 +210,7 @@ def bicgstab_solve(op: Callable[[np.ndarray], np.ndarray], f: np.ndarray,
         # breakdown tests are relative to the current vector magnitudes,
         # not the initial residual, so deep convergence is not mistaken
         # for a Lanczos breakdown
-        if abs(rho) <= BREAKDOWN_REL_TOL * r_hat_norm * np.linalg.norm(r):
+        if abs(rho) <= BREAKDOWN_REL_TOL * r_hat_norm * _norm(r):
             record.status = STATUS_BREAKDOWN
             return x, record
         if k == 1:
@@ -225,7 +225,7 @@ def bicgstab_solve(op: Callable[[np.ndarray], np.ndarray], f: np.ndarray,
         if not np.isfinite(denom):
             record.status = STATUS_NON_FINITE
             return x, record
-        if abs(denom) <= BREAKDOWN_REL_TOL * r_hat_norm * np.linalg.norm(v):
+        if abs(denom) <= BREAKDOWN_REL_TOL * r_hat_norm * _norm(v):
             record.status = STATUS_BREAKDOWN
             return x, record
         alpha = rho / denom

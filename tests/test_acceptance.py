@@ -279,7 +279,7 @@ def test_criterion_7_property_suites(w40):
     w16 = build_projector(g16)
     lam = 1.0
     a16 = (w16.T @ w16).toarray() + lam * np.eye(256)
-    g_err = dense_wtg_operator(w16, 16, lam)
+    g_err = dense_wtg_operator(w16, lam)
     h16 = build_wmg_hierarchy(w16, g16, lam, 2)
     r = rng.standard_normal(256)
     expected = (np.eye(256) - g_err) @ np.linalg.solve(a16, r)

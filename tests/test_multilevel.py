@@ -308,7 +308,7 @@ class TestWtgAgainstDenseOracle:
         g, w = w16
         lam = 1.0
         a = (w.T @ w).toarray() + lam * np.eye(256)
-        g_err = dense_wtg_operator(w, 16, lam)
+        g_err = dense_wtg_operator(w, lam)
         h = build_wmg_hierarchy(w, g, lam, 2)
         rng = np.random.default_rng(2)
         for _ in range(3):

@@ -295,6 +295,29 @@ class TestBicgstab:
                                 cfg=SolverConfig(max_iterations=10))
         assert rec.status == STATUS_NON_FINITE
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_denominator_norm_is_a_breakdown(self):
+        # ||v|| of v = A f overflows in the alpha-denominator test, and an
+        # infinite bound there flags any finite denominator
+        a = np.array([[1.0, 0.0], [1e60, 1.0]])
+        x, rec = bicgstab_solve(lambda v: a @ v, np.array([1e100, 0.0]),
+                                SolverConfig(max_iterations=10))
+        assert rec.status == STATUS_BREAKDOWN
+        assert rec.iterations == [0]
+        np.testing.assert_array_equal(x, [0.0, 0.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_error_norm_is_logged_as_inf(self):
+        # iterate 1 is the exact [1e160, 0], whose error against [1, 1]
+        # has an overflowing L2 norm
+        a = np.diag([1e-60, 1.0])
+        x, rec = bicgstab_solve(lambda v: a @ v, np.array([1e100, 0.0]),
+                                SolverConfig(max_iterations=10),
+                                x_ex=np.ones(2))
+        assert rec.status == STATUS_CONVERGED
+        assert rec.rel_err_l2 == [1.0, np.inf]
+        np.testing.assert_array_equal(x, [1e160, 0.0])
+
     def test_error_logging_against_exact(self, spd8):
         a, f, x_direct = spd8
         cfg = SolverConfig(max_iterations=100, residual_tolerance=1e-13)

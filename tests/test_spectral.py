@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from wmgtomo import cli
+from wmgtomo.solvers import dense_normal
 from wmgtomo.spectral import dense_tg_operator, dense_wtg_operator, spectrum
 
 
@@ -56,6 +60,43 @@ class TestPreconditionedSpectrum:
         spec = spectrum(w, "wtg", 1.0)
         assert np.abs(spec.eigenvalues).min() > 0.01
 
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("operator, oracle", [
+        ("tg", dense_tg_operator), ("wtg", dense_wtg_operator)])
+    def test_similar_to_right_preconditioned_iteration(self, w16, operator,
+                                                       oracle, lam):
+        # one cycle from zero is M^{-1} = (I - G) A^{-1}, so A M^{-1} =
+        # I - A G A^{-1} is similar to the I - G that spectrum analyses;
+        # kappa(A) is 8.5e3 at lam = 0. Conjugates have equal magnitudes,
+        # and both eigvals list each pair in the same order
+        _, w = w16
+        a = dense_normal(w, lam)
+        g = oracle(w, lam)
+        ref = np.linalg.eigvals(np.eye(256) - a @ np.linalg.solve(a.T, g.T).T)
+        ref = ref[np.argsort(np.abs(ref), kind="stable")]
+        got = spectrum(w, operator, lam).eigenvalues
+        assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("operator, with_eigenvectors", [
+        ("normal", False), ("tg", False), ("wtg", False), ("sirt-s", True)])
+    def test_peak_within_memory_preflight(self, w40, monkeypatch, operator,
+                                          with_eigenvectors):
+        # W plus the peak tracemalloc sees must not exceed the estimate of
+        # check_memory(g, dense_matrices=6), which `spectrum` passes: wtg's
+        # oracle peaks at 6.0 N-by-N matrices, and one more held beside it
+        # (A kept by spectrum, say) would exceed the estimate
+        g, w = w40
+        tracemalloc.start()
+        try:
+            spectrum(w, operator, with_eigenvectors=with_eigenvectors)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        used = w.data.nbytes + w.indices.nbytes + w.indptr.nbytes + peak
+        monkeypatch.setattr(cli, "mem_available", lambda: used - 1)
+        with pytest.raises(cli.CliError, match="needs about"):
+            cli.check_memory(g, dense_matrices=6)
+
     def test_unknown_kind(self, w16):
         _, w = w16
         with pytest.raises(ValueError):
@@ -71,12 +112,12 @@ class TestDenseOperators:
     def test_wtg_is_contraction(self, w16):
         # the WTG error propagation must be a strict contraction
         _, w = w16
-        g = dense_wtg_operator(w, 16, 1.0)
+        g = dense_wtg_operator(w, 1.0)
         assert np.abs(np.linalg.eigvals(g)).max() < 1.0
 
     def test_tg_contracts_with_smoothing(self, w16):
         _, w = w16
-        g = dense_tg_operator(w, 16, 1.0)
+        g = dense_tg_operator(w, 1.0)
         assert np.abs(np.linalg.eigvals(g)).max() < 1.0
 
     def test_tg_is_smoothed_ll_coarse_correction(self, w16):
@@ -96,5 +137,5 @@ class TestDenseOperators:
         r_ll = np.kron(h, h)
         coarse = r_ll @ a @ r_ll.T
         expected = s @ (eye - r_ll.T @ np.linalg.solve(coarse, r_ll @ a)) @ s
-        got = dense_tg_operator(w, 16, lam)
+        got = dense_tg_operator(w, lam)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
