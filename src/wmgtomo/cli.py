@@ -95,36 +95,33 @@ def write_pgm(path, values: np.ndarray, rows: int, cols: int):
         fh.write(bytes_.tobytes())
 
 
-def write_manifest(path, entries: dict):
+def write_manifest(out, command: str, entries: dict):
+    """The key=value manifest of output `out`, written next to it: the
+    software, version, command and timestamp, then `entries` in order."""
+    entries = {"software": "wmgtomo", "version": __version__,
+               "command": command,
+               "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), **entries}
     lines = [f"{k}={v}" for k, v in entries.items()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(f"{out}.manifest").write_text("\n".join(lines) + "\n")
 
 
-def _base_manifest(command: str) -> dict:
-    return {
-        "software": "wmgtomo",
-        "version": __version__,
-        "command": command,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-    }
+def write_csv(path, header: list, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_convergence_csv(path, record: ConvergenceRecord):
     """Columns iter, rel_res, rel_err_l2, rel_err_linf, seconds; error
     fields are blank when no exact image was supplied."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "rel_res", "rel_err_l2", "rel_err_linf",
-                         "seconds"])
-        for i, k in enumerate(record.iterations):
-            e2 = record.rel_err_l2[i]
-            einf = record.rel_err_linf[i]
-            writer.writerow([
-                k, repr(record.rel_residual[i]),
-                "" if e2 is None else repr(e2),
-                "" if einf is None else repr(einf),
-                repr(record.seconds[i]),
-            ])
+    write_csv(path, ["iter", "rel_res", "rel_err_l2", "rel_err_linf",
+                     "seconds"],
+              ([k, repr(res), "" if e2 is None else repr(e2),
+                "" if einf is None else repr(einf), repr(sec)]
+               for k, res, e2, einf, sec in zip(
+                   record.iterations, record.rel_residual, record.rel_err_l2,
+                   record.rel_err_linf, record.seconds)))
 
 
 def cmd_phantom(args) -> int:
@@ -132,13 +129,12 @@ def cmd_phantom(args) -> int:
     write_grid(args.out, x, args.n, args.n)
     if args.pgm:
         write_pgm(args.pgm, x, args.n, args.n)
-    manifest = _base_manifest("phantom")
-    manifest.update(n=args.n, out=args.out)
-    write_manifest(str(args.out) + ".manifest", manifest)
+    write_manifest(args.out, "phantom", {"n": args.n, "out": args.out})
     return 0
 
 
 def cmd_project(args) -> int:
+    check_nonneg(args.noise, "--noise")
     x, rows, cols = read_grid(args.image)
     if rows != cols:
         raise CliError("input image must be square")
@@ -151,12 +147,10 @@ def cmd_project(args) -> int:
     if args.noise:
         b = add_noise(b, args.noise, args.seed)
     write_grid(args.out, b, args.angles, args.detectors)
-    manifest = _base_manifest("project")
-    manifest.update(image=args.image, n=rows, angles=args.angles,
-                    detectors=args.detectors, noise=args.noise or 0.0)
-    if args.noise:
-        manifest.update(seed=args.seed, rng="PCG64")
-    write_manifest(str(args.out) + ".manifest", manifest)
+    write_manifest(args.out, "project", dict(
+        image=args.image, n=rows, angles=args.angles,
+        detectors=args.detectors, noise=args.noise or 0.0,
+        **(dict(seed=args.seed, rng="PCG64") if args.noise else {})))
     return 0
 
 
@@ -253,14 +247,12 @@ def cmd_reconstruct(args) -> int:
     write_convergence_csv(args.log, record)
     if args.pgm:
         write_pgm(args.pgm, x, args.n, args.n)
-    manifest = _base_manifest("reconstruct")
-    manifest.update(sino=args.sino, n=args.n, angles=args.angles,
-                    detectors=args.detectors, solver=args.solver,
-                    iters=args.iters, tol=args.tol,
-                    regularization_lambda=args.regularization,
-                    levels=levels if args.solver == "wmg-bicgstab" else "",
-                    status=record.status if args.iters else "skipped")
-    write_manifest(str(args.out) + ".manifest", manifest)
+    write_manifest(args.out, "reconstruct", dict(
+        sino=args.sino, n=args.n, angles=args.angles,
+        detectors=args.detectors, solver=args.solver, iters=args.iters,
+        tol=args.tol, regularization_lambda=args.regularization,
+        levels=levels if args.solver == "wmg-bicgstab" else "",
+        status=record.status if args.iters else "skipped"))
     return 0
 
 
@@ -269,6 +261,9 @@ def cmd_spectrum(args) -> int:
     check_nonneg(args.regularization, "lambda")
     if args.modes and args.operator != "sirt-s":
         raise CliError("--modes requires --operator sirt-s")
+    if args.modes and not Path(f"{args.modes_prefix}000.pgm").parent.is_dir():
+        raise CliError(f"--modes-prefix {args.modes_prefix} is not in an "
+                       "existing directory")
     if args.modes > args.n ** 2:
         raise CliError(f"--modes {args.modes} exceeds the {args.n ** 2} "
                        f"eigenmodes of a {args.n}-by-{args.n} image")
@@ -281,26 +276,22 @@ def cmd_spectrum(args) -> int:
     check_memory(g, dense_matrices=6)
     w = build_projector(g)
     spec = spectrum(w, args.operator, args.regularization, bool(args.modes))
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "real", "imag", "magnitude"])
-        for i, v in enumerate(spec.eigenvalues):
-            writer.writerow([i, repr(float(v.real)), repr(float(v.imag)),
-                             repr(float(abs(v)))])
+    write_csv(args.out, ["index", "real", "imag", "magnitude"],
+              ([i, repr(float(v.real)), repr(float(v.imag)),
+                repr(float(abs(v)))] for i, v in enumerate(spec.eigenvalues)))
     for j in range(args.modes):
         vec = spec.eigenvectors[:, j].real
         # fix the sign: largest-magnitude component positive
         if vec[np.argmax(np.abs(vec))] < 0:
             vec = -vec
         write_pgm(f"{args.modes_prefix}{j:03d}.pgm", vec, args.n, args.n)
-    manifest = _base_manifest("spectrum")
-    manifest.update(n=args.n, angles=args.angles, detectors=g.n_detectors,
+    manifest = dict(n=args.n, angles=args.angles, detectors=g.n_detectors,
                     operator=args.operator,
                     regularization_lambda=args.regularization)
     if spec.condition_number is not None:
         manifest["condition_number"] = repr(spec.condition_number)
         print(f"kappa = {spec.condition_number:.4e}")
-    write_manifest(str(args.out) + ".manifest", manifest)
+    write_manifest(args.out, "spectrum", manifest)
     return 0
 
 
@@ -337,18 +328,12 @@ def cmd_bench(args) -> int:
                      repr(rel_linf), repr(target_l2), ok])
 
     csv_path = outdir / f"table{table}.csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["solver", "iterations", "seconds", "rel_l2",
-                         "rel_linf", "ref_rel_l2", "within_window"])
-        writer.writerows(rows)
-    manifest = _base_manifest("bench")
-    manifest.update(table=table, n=n, angles=args.angles,
-                    detectors=g.n_detectors, levels=args.levels,
-                    iters_scale=args.iters_scale, noise=noise)
-    if noise:
-        manifest.update(seed=args.seed, rng="PCG64")
-    write_manifest(str(csv_path) + ".manifest", manifest)
+    write_csv(csv_path, ["solver", "iterations", "seconds", "rel_l2",
+                         "rel_linf", "ref_rel_l2", "within_window"], rows)
+    write_manifest(csv_path, "bench", dict(
+        table=table, n=n, angles=args.angles, detectors=g.n_detectors,
+        levels=args.levels, iters_scale=args.iters_scale, noise=noise,
+        **(dict(seed=args.seed, rng="PCG64") if noise else {})))
     for row in rows:
         print(" ".join(str(v) for v in row))
     return 0

@@ -191,12 +191,12 @@ def _release_free_heap():
 def build_projector(g: Geometry) -> sp.csr_matrix:
     """Sparse M-by-N projection matrix; rays missing the grid give empty rows.
 
-    The scan is traced in at most BLOCKS contiguous angle blocks, on one
-    thread per CPU the process may run on, the calling thread among them;
-    numpy and scipy's sparse routines release the GIL. A row depends on its
-    angle alone, so W is the same to the byte for every thread count. The
-    blocks are copied in order into arrays allocated once, each block freed
-    as soon as it is copied, so the build allocates 2 W at most and keeps
+    The scan is traced in at most BLOCKS contiguous angle blocks, mapped
+    over a pool of one thread per CPU the process may run on; numpy and
+    scipy's sparse routines release the GIL. A row depends on its angle
+    alone, so W is the same to the byte for every thread count. The blocks
+    are copied in order into arrays allocated once, each block freed as
+    soon as it is copied, so the build allocates 2 W at most and keeps
     little more than W plus the blocks in flight resident."""
     m = g.n_angles
     n_blocks = min(BLOCKS, m)
@@ -204,24 +204,18 @@ def build_projector(g: Geometry) -> sp.csr_matrix:
               for k in range(n_blocks)]
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    n_threads = min(cpus, n_blocks)
-    pieces = [None] * n_blocks
 
-    def trace(first: int):
-        for k in range(first, n_blocks, n_threads):
-            counts, cols, vals = _line_entries(g, blocks[k])
-            rows = sp.csr_matrix(
-                (vals, cols, np.concatenate(([0], np.cumsum(counts)))),
-                shape=(len(counts), g.n_image))
-            # sorts each ray's columns, given in traversal order
-            rows.sum_duplicates()
-            pieces[k] = rows
+    def trace(block: slice) -> sp.csr_matrix:
+        counts, cols, vals = _line_entries(g, block)
+        rows = sp.csr_matrix(
+            (vals, cols, np.concatenate(([0], np.cumsum(counts)))),
+            shape=(len(counts), g.n_image))
+        # sorts each ray's columns, given in traversal order
+        rows.sum_duplicates()
+        return rows
 
-    with ThreadPoolExecutor(max(n_threads - 1, 1)) as pool:
-        workers = [pool.submit(trace, j) for j in range(1, n_threads)]
-        trace(0)
-        for worker in workers:
-            worker.result()
+    with ThreadPoolExecutor(min(cpus, n_blocks)) as pool:
+        pieces = list(pool.map(trace, blocks))
     # without this, the workers' freed temporaries stay resident and add
     # about 20 MB to the peak of a hierarchy built next
     _release_free_heap()

@@ -68,22 +68,12 @@ class WmgNode:
     sector blocks.
     """
 
-    side: int
     level: int
-    path: str
     factor: Optional[sp.csr_matrix]
     lam: float
     intergrid: Optional[dict] = None
     children: dict = field(default_factory=dict)
     coarse_solve: Optional[DenseFactorization] = None
-
-    @property
-    def dim(self) -> int:
-        return self.side * self.side
-
-    @property
-    def is_coarsest(self) -> bool:
-        return self.coarse_solve is not None
 
     def apply_system(self, v: np.ndarray) -> np.ndarray:
         return normal_operator(self.factor, self.lam)(v)
@@ -182,12 +172,12 @@ def build_wmg_hierarchy(w: sp.spmatrix, g: Geometry, lam: float,
                     f"coarsest subproblem '{path}' is singular "
                     f"(lambda={lam}): {exc}") from exc
             # the factor is only needed to assemble the Gram matrix
-            return WmgNode(side=side, level=level, path=path, factor=None,
-                           lam=lam, coarse_solve=solve)
+            return WmgNode(level=level, factor=None, lam=lam,
+                           coarse_solve=solve)
         p = p if r_t is None else spgemm(p, r_t)
         grids = build_intergrid_set(side)
-        return WmgNode(side=side, level=level, path=path, factor=p, lam=lam,
-                       intergrid=grids, children={
+        return WmgNode(level=level, factor=p, lam=lam, intergrid=grids,
+                       children={
                            band: build(p, grids[band].T, side // 2, level + 1,
                                        f"{path}/{band}" if path else band)
                            for band in BAND_IDS})
@@ -196,7 +186,7 @@ def build_wmg_hierarchy(w: sp.spmatrix, g: Geometry, lam: float,
 
 
 def _solve_node(node: WmgNode, r: np.ndarray) -> np.ndarray:
-    if node.is_coarsest:
+    if node.coarse_solve is not None:
         return node.coarse_solve.solve(r)
     return wtg_apply(node, r)
 
@@ -208,10 +198,11 @@ def wtg_apply(node: WmgNode, r: np.ndarray) -> np.ndarray:
     the LH/HL/HH corrections are added from it, additive among themselves.
     """
     r = np.asarray(r, dtype=np.float64)
-    if r.shape[0] != node.dim:
-        raise DimensionMismatchError(
-            f"wtg_apply: residual length {r.shape[0]} != {node.dim}")
     grids = node.intergrid
+    dim = grids["LL"].shape[1]
+    if r.shape[0] != dim:
+        raise DimensionMismatchError(
+            f"wtg_apply: residual length {r.shape[0]} != {dim}")
     r_ll = grids["LL"] @ r
     e = grids["LL"].T @ _solve_node(node.children["LL"], r_ll)
     r_work = r - node.apply_system(e)

@@ -169,6 +169,20 @@ class TestProjectCommand:
         assert code == EXIT_ARG_ERROR
         assert not sino.exists()
 
+    @pytest.mark.parametrize("noise", ["-0.1", "nan", "inf"])
+    def test_bad_noise_rejected_before_projecting(self, tmp_path, monkeypatch,
+                                                  capsys, noise):
+        ph, sino = tmp_path / "ph.bin", tmp_path / "s.bin"
+        run("phantom", "--n", 16, "--out", ph)
+        monkeypatch.setattr(cli, "build_projector", _no_projector)
+        code = run("project", "--image", ph, "--angles", 24, "--detectors",
+                   24, "--noise", noise, "--seed", 1, "--out", sino)
+        assert code == EXIT_ARG_ERROR
+        assert not sino.exists()
+        assert capsys.readouterr().err == (
+            f"error: --noise must be finite and nonnegative, got "
+            f"{float(noise)}\n")
+
     def test_non_square_image_rejected(self, tmp_path):
         img, sino = tmp_path / "img.bin", tmp_path / "s.bin"
         write_grid(img, np.ones(8 * 6), 8, 6)
@@ -664,6 +678,17 @@ class TestSpectrumCommand:
                    "--out", out) == 0
         for j in range(2):
             assert (tmp_path / f"mode_{j:03d}.pgm").exists()
+
+    def test_missing_modes_directory_rejected_before_projecting(
+            self, tmp_path, monkeypatch):
+        # the eigenmode images would be written after the
+        # eigendecomposition, and --out before them
+        monkeypatch.setattr(cli, "build_projector", _no_projector)
+        out = tmp_path / "spec.csv"
+        assert run("spectrum", "--n", 8, "--angles", 12, "--operator",
+                   "sirt-s", "--modes", 2, "--modes-prefix",
+                   tmp_path / "missing" / "m_", "--out", out) == EXIT_ARG_ERROR
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_mode_count_rejected(self, tmp_path):
         out = tmp_path / "spec.csv"

@@ -121,9 +121,8 @@ class TestLineKernel:
     @pytest.mark.parametrize("sizes", [(40, 40, 100), (12, 13, 9),
                                        (15, 16, 3)])
     def test_same_bytes_at_every_cpu_count(self, monkeypatch, sizes):
-        # the angle blocks run on one to three threads, the calling thread
-        # among them, and every thread the build starts has ended when it
-        # returns
+        # the angle blocks run on a pool of one to three threads, and every
+        # thread the build starts has ended when it returns
         g = Geometry(*sizes)
         built = []
         for cpus in (1, 2, 3):

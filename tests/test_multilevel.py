@@ -106,14 +106,13 @@ class TestHierarchy:
         h = build_wmg_hierarchy(w, g, 1.0, 3)
         assert isinstance(h, WmgHierarchy)
         root = h.root
-        assert root.side == 16 and not root.is_coarsest
+        assert root.factor.shape[1] == 16 ** 2 and root.coarse_solve is None
         assert set(root.children) == set(BAND_IDS)
         child = root.children["LL"]
-        assert child.side == 8 and not child.is_coarsest
+        assert child.factor.shape[1] == 8 ** 2 and child.coarse_solve is None
         grandchild = child.children["HH"]
-        assert grandchild.side == 4 and grandchild.is_coarsest
-        assert grandchild.coarse_solve.orbits.size == 16
-        assert grandchild.path == "LL/HH"
+        assert grandchild.factor is None and not grandchild.children
+        assert grandchild.coarse_solve.orbits.size == 4 ** 2
 
     @pytest.mark.parametrize("lam", [0.0, 1.0, 10.0])
     def test_galerkin_identity(self, w40, lam):
@@ -137,7 +136,7 @@ class TestHierarchy:
         h = build_wmg_hierarchy(w, g, lam, 3)
         rng = np.random.default_rng(5)
         for node in (h.root, h.root.children["HL"]):
-            v = rng.standard_normal(node.dim)
+            v = rng.standard_normal(node.factor.shape[1])
             assert np.array_equal(node.apply_system(v),
                                   normal_operator(node.factor, lam)(v))
 
@@ -173,12 +172,15 @@ class TestHierarchy:
             build_wmg_hierarchy(broken.tocsr(), g, 0.0, 2)
 
     def test_singular_coarse_block_raises(self):
-        # one axis-aligned angle: the projector annihilates all vertically
-        # oscillating modes, so an HH coarse Gram matrix is singular
+        # one axis-aligned angle: its rays only sum pixel columns, so the
+        # first coarse Gram matrix built is singular; the error names the
+        # coarsest node's path from the root
         g = Geometry(4, 4, 1)
         w = build_projector(g)
-        with pytest.raises(NotPositiveDefiniteError):
-            build_wmg_hierarchy(w, g, 0.0, 2)
+        for levels, path in ((2, "LL"), (3, "LL/LH")):
+            with pytest.raises(NotPositiveDefiniteError,
+                               match=f"subproblem '{path}' is singular"):
+                build_wmg_hierarchy(w, g, 0.0, levels)
 
 
 def coarse_pairs(h):
@@ -187,7 +189,7 @@ def coarse_pairs(h):
     while stack:
         node = stack.pop()
         for band, child in node.children.items():
-            if child.is_coarsest:
+            if child.coarse_solve is not None:
                 yield child, spgemm(node.factor, node.intergrid[band].T)
             else:
                 stack.append(child)
@@ -213,7 +215,7 @@ class TestMirroredCoarseGram:
         nodes = 0
         for node, p in coarse_pairs(h):
             ref = dense_normal(p, 0.0)
-            got = node.coarse_solve.matrix() - lam * np.eye(node.dim)
+            got = node.coarse_solve.matrix() - lam * np.eye(p.shape[1])
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
             nodes += 1
         assert nodes == 4 ** (levels - 1)
@@ -232,7 +234,7 @@ class TestMirroredCoarseGram:
             h = build_wmg_hierarchy(w, g, lam, levels)
             for node, p in coarse_pairs(h):
                 ref = dense_normal(p, 0.0)
-                got = node.coarse_solve.matrix() - lam * np.eye(node.dim)
+                got = node.coarse_solve.matrix() - lam * np.eye(p.shape[1])
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("lam", [1.0, 2.5])
@@ -261,7 +263,7 @@ class TestSectorCoarseSolves:
         rng = np.random.default_rng(8)
         out = []
         for node, p in coarse_pairs(h):
-            r = rng.standard_normal(node.dim)
+            r = rng.standard_normal(p.shape[1])
             want = np.linalg.solve(dense_normal(p, lam), r)
             gap = np.abs(node.coarse_solve.solve(r) - want).max()
             out.append((node.coarse_solve.lower.shape,
@@ -294,7 +296,7 @@ class TestSectorCoarseSolves:
 
 def child_apply(h, band, v):
     node = h.root.children[band]
-    if node.is_coarsest:
+    if node.coarse_solve is not None:
         # recover the operator action from the cached factorization
         return node.coarse_solve.matrix() @ v
     return node.apply_system(v)
