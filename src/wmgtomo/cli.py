@@ -56,6 +56,13 @@ class CliError(Exception):
     """User-facing argument or file error (exit code 2)."""
 
 
+def check_output_dirs(*paths):
+    """Refuse, before any work, an output path not in an existing directory."""
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
+            raise CliError(f"{path} is not in an existing directory")
+
+
 def write_grid(path, values: np.ndarray, rows: int, cols: int):
     values = np.ascontiguousarray(values, dtype="<f8").ravel()
     if values.size != rows * cols:
@@ -125,6 +132,7 @@ def write_convergence_csv(path, record: ConvergenceRecord):
 
 
 def cmd_phantom(args) -> int:
+    check_output_dirs(args.out, args.pgm)
     x = shepp_logan(args.n)
     write_grid(args.out, x, args.n, args.n)
     if args.pgm:
@@ -134,6 +142,7 @@ def cmd_phantom(args) -> int:
 
 
 def cmd_project(args) -> int:
+    check_output_dirs(args.out)
     check_nonneg(args.noise, "--noise")
     x, rows, cols = read_grid(args.image)
     if rows != cols:
@@ -212,6 +221,7 @@ def setup_solve(solver, w, g, lam, levels):
 
 
 def cmd_reconstruct(args) -> int:
+    check_output_dirs(args.out, args.log, args.pgm)
     b, rows, cols = read_grid(args.sino)
     if rows != args.angles or cols != args.detectors:
         raise CliError(
@@ -261,9 +271,7 @@ def cmd_spectrum(args) -> int:
     check_nonneg(args.regularization, "lambda")
     if args.modes and args.operator != "sirt-s":
         raise CliError("--modes requires --operator sirt-s")
-    if args.modes and not Path(f"{args.modes_prefix}000.pgm").parent.is_dir():
-        raise CliError(f"--modes-prefix {args.modes_prefix} is not in an "
-                       "existing directory")
+    check_output_dirs(args.out, args.modes and f"{args.modes_prefix}000.pgm")
     if args.modes > args.n ** 2:
         raise CliError(f"--modes {args.modes} exceeds the {args.n ** 2} "
                        f"eigenmodes of a {args.n}-by-{args.n} image")

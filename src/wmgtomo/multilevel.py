@@ -8,13 +8,15 @@ regularization term pass through coarsening unchanged. Every coarsest
 subproblem is assembled densely by one formula,
 H_S + (I+F)[H_M + (I+R) H_Q], from the rays the scan's mirror and
 180-degree rotation leave (all of them when no angles pair), and
-Cholesky-factored once at build time. That Gram commutes with F and R, so
+Cholesky-factored once at build time. The folded Q rows commute with F
+and R by construction; when a seeded probe shows that F and R permute the
+S rows, and R the M rows, up to sign, the Gram commutes with both, and
 the orbits (i, F i, R i, FR i) of one coarse quadrant split it exactly
 into four N/4 sector blocks (sparse_kernels.cholesky_factor): at 160^2
-and levels 3 the 16 factors take 82 MB instead of 328 MB. A scan without
-angle pairs, an odd coarsest side (no orbits of four), and a Gram whose
-boundary rays break the symmetry (integer detector offsets on an even
-grid, see geometry.gram_rows) keep the Gram as one N-by-N block.
+and levels 3 the 16 factors take 82 MB instead of 328 MB. An odd
+coarsest side (no orbits of four) and S or M rows that F or R do not
+permute (boundary rays of integer detector offsets on an even grid, see
+geometry.gram_rows) keep the Gram as one N-by-N block.
 
 Subspace naming: images are row-major array[row, col] with row = y and
 col = x (see geometry module). A band name is (x-band, y-band), so LH means
@@ -32,7 +34,8 @@ import scipy.sparse as sp
 
 from .geometry import Geometry, check_projector, gram_rows
 from .sparse_kernels import (DenseFactorization, DimensionMismatchError,
-                             NotPositiveDefiniteError, cholesky_factor, spgemm)
+                             NotPositiveDefiniteError, cholesky_factor,
+                             seeded_uniform, spgemm)
 from .solvers import (check_dense_dim, check_nonneg, dense_normal,
                       normal_operator)
 
@@ -93,31 +96,43 @@ def _row_range(c: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
 
 
 def _coarse_gram(p: sp.csr_matrix, r_t: sp.csr_matrix, side: int,
-                 lam: float, rays: tuple) -> np.ndarray:
-    """Dense P_b^T P_b + lambda I of the coarsest factor P_b = p r_t.
+                 lam: float, rays: tuple) -> tuple[np.ndarray, bool]:
+    """Dense P_b^T P_b + lambda I of the coarsest factor P_b = p r_t, and
+    whether that Gram commutes with F and R.
 
     Only p's rows Q, M and S (geometry.gram_rows) are multiplied: the Gram
     is H_S + (I+F)[H_M + (I+R) H_Q], where (I+X) H = H + X H X, F is the
     x-reversal of the side-by-side image and R the reversal of the whole
     image (the 180-degree rotation). Every Haar band is even or odd under F
     and under R, so the signs of P_b's mirrored and turned rows cancel in
-    the Gram matrix. Without pairs Q and M are empty.
+    the Gram matrix. Without pairs Q and M are empty. The folded Q terms
+    commute with F and R, so the Gram does when F and R map the S rows,
+    and R the M rows, onto themselves up to sign: then one seeded probe u
+    gives the same sorted |rows @ u| as its moved copy, to 1e-9.
     """
     quarter, middle, single = rays
     c = spgemm(p[np.concatenate(rays)], r_t)
     q_end, m_end = quarter.size, quarter.size + middle.size
+    m_rows = _row_range(c, q_end, m_end)
+    s_rows = _row_range(c, m_end, c.shape[0])
+    u = seeded_uniform(side * side, 0)
+    commutes = True
+    for rows, moved in ((s_rows, u.reshape(side, side)[:, ::-1].ravel()),
+                        (s_rows, u[::-1]), (m_rows, u[::-1])):
+        a, b = (np.sort(np.abs(rows @ v)) for v in (u, moved))
+        commutes &= np.abs(a - b).max(initial=0) <= 1e-9 * a.max(initial=0)
     g = dense_normal(_row_range(c, 0, q_end), 0.0)
     # (R H R)[i, j] = H[R i, R j] reverses both indices
     g += g[::-1, ::-1]
-    g += dense_normal(_row_range(c, q_end, m_end), 0.0)
+    g += dense_normal(m_rows, 0.0)
     # an image index is (y, x), so (F H F)[i, j] = H[F i, F j] reverses the
     # x axis of both indices
     quad = g.reshape(side, side, side, side)
     quad += quad[:, ::-1, :, ::-1]
-    g += dense_normal(_row_range(c, m_end, c.shape[0]), 0.0)
+    g += dense_normal(s_rows, 0.0)
     if lam != 0:
         g[np.diag_indices_from(g)] += lam
-    return g
+    return g, commutes
 
 
 def _sector_orbits(side: int) -> np.ndarray:
@@ -155,18 +170,16 @@ def build_wmg_hierarchy(w: sp.spmatrix, g: Geometry, lam: float,
     w = w.tocsr()
     check_projector(w, g)
     rays = gram_rows(g)
-    # every coarsest node has the same side; a scan without pairs keeps
-    # one block, and so does an odd side, which has no orbits of 4
+    # every coarsest node has the same side; an odd one has no orbits of 4
     coarse_side = n >> (levels - 1)
-    orbits = (_sector_orbits(coarse_side)
-              if rays[0].size and coarse_side % 2 == 0 else None)
+    orbits = _sector_orbits(coarse_side) if coarse_side % 2 == 0 else None
 
     def build(p, r_t, side, level, path):
         """The node whose factor is p r_t (p itself when r_t is None)."""
         if level == levels:
+            gram, commutes = _coarse_gram(p, r_t, side, lam, rays)
             try:
-                solve = cholesky_factor(
-                    _coarse_gram(p, r_t, side, lam, rays), orbits)
+                solve = cholesky_factor(gram, orbits if commutes else None)
             except NotPositiveDefiniteError as exc:
                 raise NotPositiveDefiniteError(
                     f"coarsest subproblem '{path}' is singular "

@@ -81,57 +81,35 @@ def _butterfly(t: np.ndarray):
         t[b] = d
 
 
-def _sector_blocks(g: np.ndarray, orbits: np.ndarray,
-                   scale: float) -> Optional[np.ndarray]:
-    """G's four sector blocks as a (4, N/4, N/4) stack, or None when G does
-    not commute with F and R to within CHOLESKY_SYM_TOL * max|G| (`scale`).
-
-    In orbit coordinates G is a 4-by-4 array of blocks G[j, k], and the
-    index of F, R and FR is 1, 2 and 3, so that composing two of them is
-    XOR. G commutes with the group exactly when G[j, k] = G[0, j ^ k]: a
-    defect below the tolerance bounds every off-sector entry by three
-    times that. The diagonal sector blocks of U^T G U, with U = H / 2 on
-    each orbit, are then H applied to the first block row.
-    """
-    q = orbits.shape[1]
-    perm = orbits.ravel()
-    t = g[perm].take(perm, axis=1).reshape(4, q, 4, q)
-    buf = np.empty((q, q))
-    for j in range(1, 4):
-        for k in range(4):
-            np.subtract(t[j, :, k, :], t[0, :, j ^ k, :], out=buf)
-            if np.abs(buf, out=buf).max() > CHOLESKY_SYM_TOL * scale:
-                return None
-    blocks = t[0].swapaxes(0, 1).copy()
-    _butterfly(blocks)
-    return blocks
-
-
 def cholesky_factor(g: np.ndarray,
                     orbits: Optional[np.ndarray] = None) -> DenseFactorization:
     """Factor a dense SPD matrix, raising NotPositiveDefiniteError on failure.
 
     `orbits` is an optional (4, N/4) table of index orbits (i, F i, R i,
-    FR i) under two commuting involutive permutations F and R. When G
-    commutes with both, the orthonormal sector basis (H / 2 on each orbit,
-    see `_butterfly`) splits G exactly into four N/4 blocks, one per pair
-    of F and R eigenvalues, and only their factors are stored: a quarter
+    FR i) under two commuting involutive permutations F and R, given only
+    when the caller has certified that G commutes with both. In orbit
+    coordinates G is then a 4-by-4 array of blocks G[j, k] = G[0, j ^ k]
+    (F, R and FR are 1, 2 and 3, so composing two is XOR), and the
+    orthonormal sector basis (H / 2 on each orbit, see `_butterfly`) splits
+    G exactly into four N/4 blocks, one per pair of F and R eigenvalues: H
+    applied to G's first block row. Only their factors are stored, a quarter
     of the memory and a sixteenth of the flops (Fassler & Stiefel, Group
-    Theoretical Methods and Their Applications, 1992). Otherwise, and
-    without `orbits`, G is one block on the orbit arange(N). Only blocks are
-    checked for symmetry, which a G that commutes has when its blocks do.
+    Theoretical Methods and Their Applications, 1992). Without `orbits`, G
+    is one block on the orbit arange(N). Only the blocks are checked for
+    symmetry; a G that does not commute fails that check in general.
     """
     g = np.asarray(g, dtype=np.float64)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionMismatchError(f"cholesky_factor: matrix is not square {g.shape}")
-    if orbits is not None and (orbits.ndim != 2 or orbits.shape[0] != 4
-                               or orbits.size != g.shape[0]):
+    if orbits is None:
+        blocks, orbits = g[None], np.arange(g.shape[0])[None]
+    elif orbits.ndim != 2 or orbits.shape[0] != 4 or orbits.size != g.shape[0]:
         raise DimensionMismatchError(
             f"cholesky_factor: orbits {orbits.shape} do not cover {g.shape}")
+    else:
+        blocks = g[orbits[0][:, None], orbits[:, None]]  # G[0, k] stacked
+        _butterfly(blocks)
     scale = max(g.max(), -g.min()) if g.size else 0.0  # max|G|
-    blocks = None if orbits is None else _sector_blocks(g, orbits, scale)
-    if blocks is None:
-        blocks, orbits = g[None], np.arange(g.shape[0])[None]
     d = blocks - blocks.swapaxes(-1, -2)
     if scale and np.abs(d, out=d).max() > CHOLESKY_SYM_TOL * scale:
         raise NotPositiveDefiniteError("matrix is not symmetric")

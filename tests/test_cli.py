@@ -16,6 +16,7 @@ from wmgtomo.phantom import add_noise, shepp_logan
 from wmgtomo.solvers import (STATUS_BREAKDOWN, ConvergenceRecord,
                              SolverConfig, bicgstab_solve, normal_operator,
                              sirt_solve)
+from wmgtomo.spectral import Spectrum
 
 
 def run(*argv):
@@ -42,6 +43,12 @@ class TestGridFormat:
         assert raw[:4] == MAGIC
         assert struct.unpack("<III", raw[4:16]) == (FORMAT_VERSION, 2, 3)
         assert len(raw) == 16 + 6 * 8
+
+    def test_size_mismatch_refused_without_writing(self, tmp_path):
+        path = tmp_path / "grid.bin"
+        with pytest.raises(CliError, match="grid size 5 != 2x3"):
+            write_grid(path, np.zeros(5), 2, 3)
+        assert not path.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -123,6 +130,16 @@ class TestPhantomCommand:
         assert run("phantom", "--n", 8, "--out", out, "--pgm", pgm) == 0
         assert pgm.read_bytes().startswith(b"P5\n8 8\n")
 
+    def test_missing_pgm_directory_rejected_before_writing(self, tmp_path,
+                                                           capsys):
+        # the grid was written before the preview, and the manifest after
+        pgm = tmp_path / "missing" / "ph.pgm"
+        assert run("phantom", "--n", 8, "--out", tmp_path / "ph.bin",
+                   "--pgm", pgm) == EXIT_ARG_ERROR
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err == (
+            f"error: {pgm} is not in an existing directory\n")
+
 
 class TestProjectCommand:
     def test_project_shapes(self, tmp_path):
@@ -182,6 +199,16 @@ class TestProjectCommand:
         assert capsys.readouterr().err == (
             f"error: --noise must be finite and nonnegative, got "
             f"{float(noise)}\n")
+
+    def test_missing_output_directory_rejected_before_projecting(
+            self, tmp_path, monkeypatch):
+        ph = tmp_path / "ph.bin"
+        run("phantom", "--n", 8, "--out", ph)
+        before = sorted(tmp_path.iterdir())
+        monkeypatch.setattr(cli, "build_projector", _no_projector)
+        assert run("project", "--image", ph, "--angles", 4, "--detectors", 8,
+                   "--out", tmp_path / "missing" / "s.bin") == EXIT_ARG_ERROR
+        assert sorted(tmp_path.iterdir()) == before
 
     def test_non_square_image_rejected(self, tmp_path):
         img, sino = tmp_path / "img.bin", tmp_path / "s.bin"
@@ -473,6 +500,23 @@ class TestReconstructCommand:
         available = cli.mem_available()
         assert available is None or available > 0
 
+    @pytest.mark.parametrize("missing", ["--out", "--log", "--pgm"])
+    def test_missing_output_directory_rejected_before_projecting(
+            self, small_problem, monkeypatch, missing):
+        # the image, log and preview were written after the solve, each
+        # before the next could fail, and the manifest last
+        _, sino, tmp = small_problem
+        before = sorted(tmp.iterdir())
+        monkeypatch.setattr(cli, "build_projector", _no_projector)
+        paths = {"--out": tmp / "x.bin", "--log": tmp / "l.csv",
+                 "--pgm": tmp / "x.pgm"}
+        paths[missing] = tmp / "missing" / paths[missing].name
+        code = run("reconstruct", "--sino", sino, "--n", 16, "--angles", 24,
+                   "--detectors", 24, "--solver", "bicgstab", "--iters", 3,
+                   *(a for item in paths.items() for a in item))
+        assert code == EXIT_ARG_ERROR
+        assert sorted(tmp.iterdir()) == before
+
     def test_sinogram_shape_mismatch_rejected(self, small_problem):
         _, sino, tmp = small_problem
         code = run("reconstruct", "--sino", sino, "--n", 16, "--angles", 10,
@@ -689,6 +733,33 @@ class TestSpectrumCommand:
                    "sirt-s", "--modes", 2, "--modes-prefix",
                    tmp_path / "missing" / "m_", "--out", out) == EXIT_ARG_ERROR
         assert list(tmp_path.iterdir()) == []
+
+    def test_missing_output_directory_rejected_before_projecting(
+            self, tmp_path, monkeypatch):
+        # the CSV was written after the eigendecomposition
+        monkeypatch.setattr(cli, "build_projector", _no_projector)
+        assert run("spectrum", "--n", 8, "--angles", 12, "--operator",
+                   "sirt-s", "--out", tmp_path / "missing" / "spec.csv"
+                   ) == EXIT_ARG_ERROR
+        assert list(tmp_path.iterdir()) == []
+
+    def test_mode_image_sign_makes_the_largest_component_positive(
+            self, tmp_path, monkeypatch):
+        # an eigenvector is defined up to sign; the exported one has its
+        # largest-magnitude component positive
+        vec = np.linspace(-1.0, 0.5, 64)
+        monkeypatch.setattr(cli, "spectrum", lambda *args: Spectrum(
+            eigenvalues=np.ones(64), eigenvectors=vec[:, None]))
+        prefix = tmp_path / "mode_"
+        assert run("spectrum", "--n", 8, "--angles", 12, "--operator",
+                   "sirt-s", "--modes", 1, "--modes-prefix", prefix,
+                   "--out", tmp_path / "spec.csv") == 0
+        write_pgm(tmp_path / "want.pgm", -vec, 8, 8)
+        assert ((tmp_path / "mode_000.pgm").read_bytes()
+                == (tmp_path / "want.pgm").read_bytes())
+        write_pgm(tmp_path / "unflipped.pgm", vec, 8, 8)
+        assert ((tmp_path / "unflipped.pgm").read_bytes()
+                != (tmp_path / "want.pgm").read_bytes())
 
     def test_negative_mode_count_rejected(self, tmp_path):
         out = tmp_path / "spec.csv"

@@ -241,20 +241,24 @@ class TestMirroredCoarseGram:
     @pytest.mark.parametrize("levels", [2, 3])
     def test_scan_without_pairs_is_bit_identical(self, levels, lam):
         # angles 0 and pi/2 are both self-paired; two angles leave the HH
-        # Gram matrices singular, so lambda > 0
+        # Gram matrices singular, so lambda > 0. F and R permute their
+        # rays, so every coarsest Gram splits.
         g = Geometry(16, 16, 2)
         quarter, middle, _ = gram_rows(g)
         assert quarter.size == middle.size == 0
         h = build_wmg_hierarchy(build_projector(g), g, lam, levels)
         for node, p in coarse_pairs(h):
-            want = cholesky_factor(dense_normal(p, lam)).lower
+            orbits = node.coarse_solve.orbits
+            assert orbits.shape[0] == 4
+            want = cholesky_factor(dense_normal(p, lam), orbits).lower
             assert np.array_equal(node.coarse_solve.lower, want)
 
 
 class TestSectorCoarseSolves:
-    """A coarsest Gram that commutes with the coarse x-flip F and the
-    180-degree rotation R is stored as four sector blocks; one whose
-    boundary rays break that symmetry, or of odd side, keeps one factor."""
+    """A coarsest Gram whose S and M rows the coarse x-flip F and the
+    180-degree rotation R permute is stored as four sector blocks; one
+    whose boundary rays break that symmetry, or of odd side, keeps one
+    factor."""
 
     @staticmethod
     def solve_gaps(h, lam):
@@ -276,14 +280,32 @@ class TestSectorCoarseSolves:
         assert [shape for shape, _ in gaps] == [(4, 4, 4)] * 16
         assert max(gap for _, gap in gaps) <= 1e-12
 
+    @staticmethod
+    def blocks_per_band(h):
+        """{band: number of factor blocks} of a two-level hierarchy."""
+        return {band: child.coarse_solve.lower.shape[0]
+                for band, child in h.root.children.items()}
+
     @pytest.mark.parametrize("g", [Geometry(16, 15, 6), Geometry(8, 3, 6)])
     def test_asymmetric_boundary_rays_keep_one_factor(self, g):
         # integer detector offsets on an even grid: boundary rays give
         # their whole length to one side, so some Grams do not commute
         h = build_wmg_hierarchy(build_projector(g), g, 1.0, 2)
+        assert self.blocks_per_band(h) == {"LL": 1, "LH": 1, "HL": 1, "HH": 4}
         gaps = self.solve_gaps(h, 1.0)
-        assert any(shape[0] == 1 for shape, _ in gaps)
         assert max(gap for _, gap in gaps) <= 1e-12
+
+    def test_scan_without_quarter_rows_splits_where_rows_permute(self):
+        # one detector: no quarter rows, and the central ray of angle 0
+        # runs along a grid line, giving its length to one side
+        g = Geometry(4, 1, 3)
+        assert gram_rows(g)[0].size == 0
+        h = build_wmg_hierarchy(build_projector(g), g, 1.0, 2)
+        assert self.blocks_per_band(h) == {"LL": 1, "LH": 4, "HL": 1, "HH": 4}
+        for node, p in coarse_pairs(h):
+            ref = dense_normal(p, 0.0)
+            got = node.coarse_solve.matrix() - np.eye(p.shape[1])
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_odd_coarsest_side_keeps_one_factor(self):
         g = Geometry(10, 12, 8)

@@ -108,7 +108,7 @@ def random_spd(n, seed):
 
 class TestSectorCholesky:
     """With index orbits under F and R, a Gram matrix that commutes with
-    both is factored as four sector blocks; any other keeps one factor."""
+    both is factored as four sector blocks; any other is refused."""
 
     def test_commuting_matrix_splits_into_four_blocks(self):
         q = 6
@@ -124,16 +124,16 @@ class TestSectorCholesky:
                                    rtol=0, atol=1e-12)
         assert np.abs(f.matrix() - a).max() <= 1e-12 * np.abs(a).max()
 
-    def test_matrix_that_does_not_commute_keeps_one_factor(self):
+    def test_matrix_that_does_not_commute_is_refused(self):
+        # the caller certifies the commutation; the blocks built from the
+        # first block row of any other G are not symmetric
         q = 6
         orbits, _ = sector_group(q, 0)
-        a = random_spd(4 * q, 4)
-        f = cholesky_factor(a, orbits)
-        assert f.lower.shape == (1, 4 * q, 4 * q)
-        assert np.array_equal(f.lower, cholesky_factor(a).lower)
-        rhs = np.random.default_rng(5).standard_normal(4 * q)
-        np.testing.assert_allclose(f.solve(rhs), np.linalg.solve(a, rhs),
-                                   rtol=0, atol=1e-12)
+        for seed in range(4, 9):
+            a = random_spd(4 * q, seed)
+            with pytest.raises(NotPositiveDefiniteError, match="symmetric"):
+                cholesky_factor(a, orbits)
+            assert cholesky_factor(a).lower.shape == (1, 4 * q, 4 * q)
 
     def test_asymmetric_block_is_refused(self):
         # an antisymmetric part that commutes with F and R has no
